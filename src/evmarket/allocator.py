@@ -5,30 +5,28 @@ minus the imbalance penalty, with one auxiliary nonnegative variable per
 (station, time) cell linearizing the absolute imbalance term (two lower-bound
 rows per cell).
 
-solve_exact runs a deterministic best-bound branch-and-bound over binary
-variables; node relaxations are solved with scipy's HiGHS LP.  Incumbent
-objectives are re-evaluated in exact integer arithmetic so that reported
-optima are bit-reproducible and comparable across counterfactual solves.
+solve_exact hands the model to HiGHS branch-and-cut (scipy's milp) with a
+zero MIP gap.  The solution is re-evaluated in exact integer arithmetic so
+that reported optima are bit-reproducible and comparable across
+counterfactual solves.
 """
 
 from __future__ import annotations
 
-import heapq
-import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, linprog, milp
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .model import Allocation, Instance, Money
 
-_INT_TOL = 1e-6
-
 STATUS_OPTIMAL = "optimal"
 STATUS_TIME_LIMITED = "feasible_time_limited"
+
+DEFAULT_TIME_LIMIT = 300.0  # seconds per exact solve
 
 
 class InfeasiblePin(Exception):
@@ -42,7 +40,6 @@ class Infeasible(Exception):
 @dataclass
 class IpModel:
     instance: Instance
-    var_meta: list[tuple]  # ("assign", a, l) | ("charge", a, l, t) | ("imbalance", l, t)
     phi_index: dict[tuple[str, str], int]
     charge_index: dict[tuple[str, str, int], int]
     m_index: dict[tuple[str, int], int]
@@ -52,11 +49,10 @@ class IpModel:
     lb: np.ndarray
     ub: np.ndarray
     is_binary: np.ndarray
-    row_tags: list[str]
 
     @property
     def n_vars(self) -> int:
-        return len(self.var_meta)
+        return len(self.c)
 
 
 @dataclass(frozen=True)
@@ -120,7 +116,6 @@ def build_model(instance: Instance) -> IpModel:
     pinned_assigned = dict(instance.pinned.assigned) if instance.pinned else {}
     pinned_slots = instance.pinned.schedule if instance.pinned else frozenset()
 
-    var_meta: list[tuple] = []
     phi_index: dict[tuple[str, str], int] = {}
     charge_index: dict[tuple[str, str, int], int] = {}
     m_index: dict[tuple[str, int], int] = {}
@@ -128,15 +123,14 @@ def build_model(instance: Instance) -> IpModel:
     lb: list[float] = []
     ub: list[float] = []
 
-    def add_var(meta: tuple, coef: Money, lo: float, hi: float) -> int:
-        idx = len(var_meta)
-        var_meta.append(meta)
+    def add_var(coef: Money, lo: float, hi: float) -> int:
+        idx = len(c)
         c.append(float(coef))
         lb.append(lo)
         ub.append(hi)
         return idx
 
-    # assignment variables first: branching favours them
+    # binaries first (assignment, then charge): is_binary marks the first n_binary
     for req in instance.requests:
         aid = req.ev.id
         pin_station = pinned_assigned.get(aid)
@@ -151,7 +145,6 @@ def build_model(instance: Instance) -> IpModel:
             if aid in pinned_assigned:
                 fixed = 1.0 if pin_station == st.id else 0.0
             phi_index[(aid, st.id)] = add_var(
-                ("assign", aid, st.id),
                 acc.valuation,
                 fixed if fixed is not None else 0.0,
                 fixed if fixed is not None else 1.0,
@@ -168,25 +161,22 @@ def build_model(instance: Instance) -> IpModel:
                 if aid in pinned_assigned:
                     fixed = 1.0 if (aid, st.id, t) in pinned_slots else 0.0
                 charge_index[(aid, st.id, t)] = add_var(
-                    ("charge", aid, st.id, t),
                     -st.slot_elec_cost,
                     fixed if fixed is not None else 0.0,
                     fixed if fixed is not None else 1.0,
                 )
-    n_binary = len(var_meta)
+    n_binary = len(c)
     for st in instance.stations:
         for t in range(horizon):
-            m_index[(st.id, t)] = add_var(
-                ("imbalance", st.id, t), -instance.imbalance_unit_cost, 0.0, np.inf
-            )
+            m_index[(st.id, t)] = add_var(-instance.imbalance_unit_cost, 0.0, np.inf)
 
-    rows: list[tuple[dict[int, float], float, str]] = []  # (coefs, rhs, tag)
+    rows: list[tuple[dict[int, float], float]] = []  # (coefs, rhs)
 
     for req in instance.requests:
         aid = req.ev.id
         phis = {sid: i for (a, sid), i in phi_index.items() if a == aid}
         if phis:
-            rows.append(({i: 1.0 for i in phis.values()}, 1.0, f"single-station:{aid}"))
+            rows.append(({i: 1.0 for i in phis.values()}, 1.0))
         for sid, pi in phis.items():
             acc = req.access(sid)
             st = instance.station(sid)
@@ -195,49 +185,45 @@ def build_model(instance: Instance) -> IpModel:
             coefs = {pi: float(acc.charge_slots_needed)}
             for i in charges:
                 coefs[i] = -1.0
-            rows.append((coefs, 0.0, f"min-charge:{aid}:{sid}"))
+            rows.append((coefs, 0.0))
             # never exceed the battery
             rows.append(
                 (
                     {i: float(st.rate) for i in charges},
                     float(req.ev.battery_capacity - acc.battery_on_arrival),
-                    f"battery-capacity:{aid}:{sid}",
                 )
             )
             # no charging at a station the EV is not assigned to
             for i in charges:
-                rows.append(({i: 1.0, pi: -1.0}, 0.0, f"assignment-link:{aid}:{sid}"))
+                rows.append(({i: 1.0, pi: -1.0}, 0.0))
     for st in instance.stations:
         for t in range(horizon):
             cell = [i for (a, s, tt), i in charge_index.items() if s == st.id and tt == t]
             if cell:
-                rows.append(({i: 1.0 for i in cell}, float(st.slots), f"station-capacity:{st.id}:{t}"))
+                rows.append(({i: 1.0 for i in cell}, float(st.slots)))
             dem = st.expected_demand[t] if t < len(st.expected_demand) else 0
             mi = m_index[(st.id, t)]
             pos = {i: 1.0 for i in cell}
             pos[mi] = -1.0
-            rows.append((pos, float(dem), f"imbalance-lb-pos:{st.id}:{t}"))
+            rows.append((pos, float(dem)))
             neg = {i: -1.0 for i in cell}
             neg[mi] = -1.0
-            rows.append((neg, float(-dem), f"imbalance-lb-neg:{st.id}:{t}"))
+            rows.append((neg, float(-dem)))
 
-    n = len(var_meta)
+    n = len(c)
     data, ri, ci = [], [], []
     b = np.empty(len(rows))
-    tags = []
-    for r, (coefs, rhs, tag) in enumerate(rows):
+    for r, (coefs, rhs) in enumerate(rows):
         for i, v in coefs.items():
             ri.append(r)
             ci.append(i)
             data.append(v)
         b[r] = rhs
-        tags.append(tag)
     A = sparse.csr_matrix((data, (ri, ci)), shape=(len(rows), n))
     is_binary = np.zeros(n, dtype=bool)
     is_binary[:n_binary] = True
     return IpModel(
         instance=instance,
-        var_meta=var_meta,
         phi_index=phi_index,
         charge_index=charge_index,
         m_index=m_index,
@@ -247,7 +233,6 @@ def build_model(instance: Instance) -> IpModel:
         lb=np.array(lb),
         ub=np.array(ub),
         is_binary=is_binary,
-        row_tags=tags,
     )
 
 
@@ -298,79 +283,14 @@ def _baseline_allocation(model: IpModel) -> Allocation:
     return Allocation(assigned=assigned, schedule=schedule, objective=evaluate_objective(inst, assigned, schedule))
 
 
-def _repair_candidate(model: IpModel, x: np.ndarray) -> Optional[Allocation]:
-    """Greedy feasible allocation from a fractional LP point: keep rounded
-    assignments, give each kept EV exactly its needed slots, preferring cells
-    below the expected demand.  Incumbent heuristic only; never replaces the
-    exhaustive search."""
-    inst = model.instance
-    pinned_agents = set(inst.pinned.assigned) if inst.pinned else set()
-    assigned: dict[str, Optional[str]] = {r.ev.id: None for r in inst.requests}
-    loads: dict[tuple[str, int], int] = {}
-    schedule: set[tuple[str, str, int]] = set()
-    if inst.pinned is not None:
-        for aid, sid in inst.pinned.assigned.items():
-            if aid in assigned:
-                assigned[aid] = sid
-        for aid, sid, t in inst.pinned.schedule:
-            schedule.add((aid, sid, t))
-            loads[(sid, t)] = loads.get((sid, t), 0) + 1
-    for (aid, sid), i in model.phi_index.items():
-        if aid not in pinned_agents and x[i] > 0.5:
-            assigned[aid] = sid
-    for req in inst.requests:
-        aid = req.ev.id
-        sid = assigned[aid]
-        if sid is None or aid in pinned_agents:
-            continue
-        acc = req.access(sid)
-        st = inst.station(sid)
-        needed = acc.charge_slots_needed
-        if needed * st.rate + acc.battery_on_arrival > req.ev.battery_capacity:
-            assigned[aid] = None
-            continue
-
-        def slot_key(t: int) -> tuple:
-            dem = st.expected_demand[t] if t < len(st.expected_demand) else 0
-            below = 0 if loads.get((st.id, t), 0) < dem else 1
-            return (below, -x[model.charge_index[(aid, st.id, t)]], t)
-
-        window = range(max(acc.arrival, inst.frozen_before), acc.departure)
-        chosen = []
-        for t in sorted(window, key=slot_key):
-            if loads.get((st.id, t), 0) < st.slots:
-                chosen.append(t)
-                if len(chosen) == needed:
-                    break
-        if len(chosen) < needed:
-            assigned[aid] = None
-            continue
-        for t in chosen:
-            schedule.add((aid, st.id, t))
-            loads[(st.id, t)] = loads.get((st.id, t), 0) + 1
-    froz = frozenset(schedule)
-    return Allocation(
-        assigned=assigned, schedule=froz, objective=evaluate_objective(inst, assigned, froz)
-    )
-
-
-def solve_exact(model: IpModel, time_limit: float = 300.0, engine: str = "highs") -> SolveResult:
+def solve_exact(model: IpModel, time_limit: float = DEFAULT_TIME_LIMIT) -> SolveResult:
     """Solve the 0-1 program to proven optimality.
 
-    engine="highs" (default) hands the model to HiGHS branch-and-cut with a
-    zero MIP gap; engine="bnb" runs the built-in best-bound branch-and-bound
-    over LP relaxations.  Both re-evaluate the incumbent in exact integer
-    arithmetic, are deterministic for a fixed input, and report
-    feasible_time_limited when the clock runs out before the proof.
+    HiGHS branch-and-cut runs with a zero MIP gap; the incumbent is
+    re-evaluated in exact integer arithmetic.  Deterministic for a fixed
+    input; reports feasible_time_limited when the clock runs out before the
+    proof.
     """
-    if engine == "highs":
-        return _solve_highs(model, time_limit)
-    if engine == "bnb":
-        return _solve_bnb(model, time_limit)
-    raise ValueError(f"unknown engine {engine!r}")
-
-
-def _solve_highs(model: IpModel, time_limit: float) -> SolveResult:
     start = time.monotonic()
     incumbent = _baseline_allocation(model)
     if model.n_vars == 0:
@@ -395,78 +315,17 @@ def _solve_highs(model: IpModel, time_limit: float) -> SolveResult:
     if res.status != 0 or res.x is None:
         raise RuntimeError(f"MILP solve failed with status {res.status}: {res.message}")
     allocation = _allocation_from_x(model, np.round(res.x))
-    assert abs(-res.fun - allocation.objective) < 0.5, "solver objective drifted from exact evaluation"
+    if abs(-res.fun - allocation.objective) >= 0.5:
+        raise RuntimeError(
+            f"solver objective {-res.fun} drifted from exact evaluation {allocation.objective}"
+        )
     return SolveResult(allocation, STATUS_OPTIMAL, nodes, runtime)
-
-
-def _solve_bnb(model: IpModel, time_limit: float) -> SolveResult:
-    """Best-bound branch-and-bound: branch on the fractional assignment
-    variable closest to 0.5 (then charge variables), ties to the lowest
-    variable index."""
-    start = time.monotonic()
-    incumbent = _baseline_allocation(model)
-    inc_obj = incumbent.objective
-    n = model.n_vars
-    if n == 0:
-        return SolveResult(incumbent, STATUS_OPTIMAL, nodes=0, runtime_s=time.monotonic() - start)
-
-    neg_c = -model.c
-    base_bounds = np.column_stack([model.lb, model.ub])
-    heap: list[tuple[float, int, tuple[tuple[int, float], ...]]] = [(-math.inf, 0, ())]
-    seq = 1
-    nodes = 0
-
-    while heap:
-        if time.monotonic() - start > time_limit:
-            return SolveResult(incumbent, STATUS_TIME_LIMITED, nodes, time.monotonic() - start)
-        neg_parent_bound, _, fixings = heapq.heappop(heap)
-        if math.isfinite(neg_parent_bound) and math.floor(-neg_parent_bound + _INT_TOL) <= inc_obj:
-            continue
-        bounds = base_bounds.copy()
-        for i, v in fixings:
-            bounds[i, 0] = v
-            bounds[i, 1] = v
-        res = linprog(neg_c, A_ub=model.A, b_ub=model.b, bounds=bounds, method="highs")
-        nodes += 1
-        if res.status == 2:  # infeasible
-            if not fixings:
-                raise Infeasible("model infeasible: contradictory pinned commitments")
-            continue
-        if res.status != 0:
-            raise RuntimeError(f"LP relaxation failed with status {res.status}: {res.message}")
-        lp_val = -res.fun
-        bound_int = math.floor(lp_val + _INT_TOL)
-        if bound_int <= inc_obj:
-            continue
-        x = res.x
-        frac = np.where(model.is_binary & (np.minimum(x, 1.0 - x) > _INT_TOL))[0]
-        if frac.size == 0:
-            cand = _allocation_from_x(model, np.round(x))
-            if cand.objective > inc_obj:
-                incumbent, inc_obj = cand, cand.objective
-            continue
-        cand = _repair_candidate(model, x)
-        if cand is not None and cand.objective > inc_obj:
-            incumbent, inc_obj = cand, cand.objective
-            if bound_int <= inc_obj:
-                continue
-        n_phi = len(model.phi_index)
-        phi_frac = frac[frac < n_phi]
-        pool = phi_frac if phi_frac.size else frac
-        scores = np.abs(x[pool] - 0.5)
-        var = int(pool[int(np.argmin(scores))])  # argmin keeps the lowest index on ties
-        for val in (1.0, 0.0):
-            heapq.heappush(heap, (-lp_val, seq, fixings + ((var, val),)))
-            seq += 1
-
-    return SolveResult(incumbent, STATUS_OPTIMAL, nodes, time.monotonic() - start)
 
 
 def validate_allocation(instance: Instance, allocation: Allocation) -> list[Violation]:
     """Check every scheduling constraint; empty list means the allocation is valid."""
     violations: list[Violation] = []
     horizon = instance.time_grid.horizon_len
-    known = {r.ev.id: r for r in instance.requests}
 
     stations_used: dict[str, set[str]] = {}
     for aid, sid, t in allocation.schedule:
@@ -480,8 +339,9 @@ def validate_allocation(instance: Instance, allocation: Allocation) -> list[Viol
     for aid, sid in allocation.assigned.items():
         if sid is None:
             continue
-        req = known.get(aid)
-        if req is None:
+        try:
+            req = instance.request(aid)
+        except KeyError:
             violations.append(Violation("unknown-agent", (aid,), f"{aid} not in instance"))
             continue
         if sid not in req.feasible_stations:
@@ -511,7 +371,7 @@ def validate_allocation(instance: Instance, allocation: Allocation) -> list[Viol
                 Violation("unassigned-charging", (aid, sid, t), f"{aid} charges at {sid} unassigned")
             )
             continue
-        acc = known[aid].per_station.get(sid)
+        acc = instance.request(aid).per_station.get(sid)
         if acc is None or not (acc.arrival <= t < acc.departure) or not (0 <= t < horizon):
             violations.append(
                 Violation("outside-window", (aid, sid, t), f"slot {t} outside {aid}'s window at {sid}")
@@ -530,29 +390,3 @@ def validate_allocation(instance: Instance, allocation: Allocation) -> list[Viol
                 )
             )
     return violations
-
-
-def write_lp(model: IpModel, path: str) -> None:
-    """Dump the model in LP text format for cross-checking with external solvers."""
-    names = []
-    for meta in model.var_meta:
-        names.append("_".join(str(p) for p in meta).replace("-", "_"))
-    lines = ["Maximize", " obj: " + " + ".join(
-        f"{model.c[i]:g} {names[i]}" for i in range(model.n_vars) if model.c[i]
-    ).replace("+ -", "- "), "Subject To"]
-    coo = model.A.tocoo()
-    row_terms: dict[int, list[str]] = {}
-    for r, i, v in zip(coo.row, coo.col, coo.data):
-        row_terms.setdefault(r, []).append(f"{v:+g} {names[i]}")
-    for r, tag in enumerate(model.row_tags):
-        terms = " ".join(row_terms.get(r, ["0"]))
-        lines.append(f" r{r}_{tag.replace(':', '_').replace('-', '_')}: {terms} <= {model.b[r]:g}")
-    lines.append("Bounds")
-    for i in range(model.n_vars):
-        hi = "+inf" if np.isinf(model.ub[i]) else f"{model.ub[i]:g}"
-        lines.append(f" {model.lb[i]:g} <= {names[i]} <= {hi}")
-    lines.append("Binaries")
-    lines.append(" " + " ".join(names[i] for i in range(model.n_vars) if model.is_binary[i]))
-    lines.append("End")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -14,22 +14,24 @@ or constraint.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 import time
 
 from . import __version__
-from .allocator import (
-    STATUS_OPTIMAL,
-    Infeasible,
-    InfeasiblePin,
-    build_model,
-    solve_exact,
-)
+from .allocator import DEFAULT_TIME_LIMIT, STATUS_OPTIMAL, Infeasible, InfeasiblePin
 from .model import MONEY_SCALE
 from .online import ClearingSchedule, run_online
-from .pricing import CounterfactualNotOptimal, NoBreakeven, calibrate_incr, price_coop, price_vcg
+from .pricing import (
+    CounterfactualNotOptimal,
+    NoBreakeven,
+    calibrate_incr,
+    default_solver,
+    price_coop,
+    price_vcg,
+)
 from .scenario import GenParams, ResampleLimit, generate
 from .serialize import (
     FORMAT_VERSION,
@@ -87,17 +89,16 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _solve_outputs(out_dir, instance, result, outcome, mechanism, extra, wall_s):
+def _solve_outputs(out_dir, allocation, status, outcome, mechanism, extra, wall_s):
     os.makedirs(out_dir, exist_ok=True)
-    _write_json(os.path.join(out_dir, "allocation.json"),
-                allocation_to_dict(result.allocation))
+    _write_json(os.path.join(out_dir, "allocation.json"), allocation_to_dict(allocation))
     summary = {
         "format_version": FORMAT_VERSION,
         "tool_version": __version__,
         "scale": MONEY_SCALE,
         "mechanism": mechanism,
-        "status": result.status,
-        "objective": result.allocation.objective,
+        "status": status,
+        "objective": allocation.objective,
         "serviced": len(outcome.charged) if outcome else 0,
         "budget": outcome.budget if outcome else None,
         "total_imbalance_cost": outcome.total_imbalance_cost if outcome else None,
@@ -106,7 +107,7 @@ def _solve_outputs(out_dir, instance, result, outcome, mechanism, extra, wall_s)
     _write_json(os.path.join(out_dir, "summary.json"), summary)
     if outcome is not None:
         with open(os.path.join(out_dir, "pricing.csv"), "w", newline="") as fh:
-            write_pricing_csv(outcome, result.allocation, fh)
+            write_pricing_csv(outcome, allocation, fh)
     # wall clock lives apart so everything above is reproducible byte-for-byte
     _write_json(os.path.join(out_dir, "timing.json"), {"wall_clock_s": round(wall_s, 4)})
 
@@ -117,9 +118,10 @@ def cmd_solve(args) -> int:
     except FormatError as exc:
         print(f"error: cannot parse instance: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    solve = functools.partial(default_solver, time_limit=args.time_limit)
     t0 = time.perf_counter()
     try:
-        result = solve_exact(build_model(instance), time_limit=args.time_limit)
+        result = solve(instance)
     except (Infeasible, InfeasiblePin) as exc:
         print(f"error: infeasible: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -128,15 +130,15 @@ def cmd_solve(args) -> int:
     code = EXIT_OK if result.status == STATUS_OPTIMAL else EXIT_TIME_LIMITED
     try:
         if args.mechanism == "vcg":
-            outcome = price_vcg(instance, result.allocation)
+            outcome = price_vcg(instance, result.allocation, solver=solve)
         else:
             outcome = price_coop(instance, result.allocation, args.incr)
             note["incr"] = args.incr
     except CounterfactualNotOptimal as exc:
         note["pricing_error"] = str(exc)
         code = EXIT_TIME_LIMITED
-    _solve_outputs(args.out, instance, result, outcome, args.mechanism, note,
-                   time.perf_counter() - t0)
+    _solve_outputs(args.out, result.allocation, result.status, outcome, args.mechanism,
+                   note, time.perf_counter() - t0)
     return code
 
 
@@ -153,8 +155,9 @@ def cmd_online(args) -> int:
     t0 = time.perf_counter()
     try:
         online = run_online(
-            instance, schedule, mechanism=args.mechanism, incr=args.incr,
-            carryover=args.carryover,
+            instance, schedule, mechanism=args.mechanism,
+            solver=functools.partial(default_solver, time_limit=args.time_limit),
+            incr=args.incr, carryover=args.carryover,
         )
     except (Infeasible, InfeasiblePin) as exc:
         print(f"error: infeasible: {exc}", file=sys.stderr)
@@ -172,18 +175,12 @@ def cmd_online(args) -> int:
                 "committed": sorted(c.newly_committed),
                 "status": c.status,
             }, sort_keys=True) + "\n")
-
-    class _R:  # shape expected by _solve_outputs
-        allocation = online.allocation
-        status = ("optimal" if all(c.status in ("optimal", "no-op")
-                                   for c in online.clearings)
-                  else "feasible_time_limited")
-
     extra = {"mode": "online", "clearing_points": list(schedule.points)}
     if args.mechanism == "coop":
         extra["incr"] = args.incr
-    _solve_outputs(args.out, instance, _R, online.outcome, args.mechanism, extra, wall)
-    return EXIT_OK if _R.status == "optimal" else EXIT_TIME_LIMITED
+    _solve_outputs(args.out, online.allocation, online.status, online.outcome,
+                   args.mechanism, extra, wall)
+    return EXIT_OK if online.status == STATUS_OPTIMAL else EXIT_TIME_LIMITED
 
 
 def cmd_calibrate(args) -> int:
@@ -218,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--time-limit", type=float, default=300.0,
+    common.add_argument("--time-limit", type=float, default=DEFAULT_TIME_LIMIT,
                         help="per-solve time limit in seconds")
     sub = parser.add_subparsers(dest="command", required=True)
 

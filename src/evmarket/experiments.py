@@ -20,14 +20,15 @@ import os
 import statistics
 import time
 from dataclasses import replace
+from functools import partial
 from typing import Optional
 
 from scipy import stats as scipy_stats
 
-from .allocator import build_model, solve_exact
+from .allocator import DEFAULT_TIME_LIMIT
 from .model import Instance, Money, PricingOutcome
 from .online import ClearingSchedule, run_online
-from .pricing import price_coop, price_vcg
+from .pricing import Solver, default_solver, price_coop, price_vcg
 from .scenario import GenParams, generate, perturb_reports
 
 # Desk-scale profile: small enough that every exact solve (including VCG
@@ -83,15 +84,15 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
 
 
 def _price(instance: Instance, allocation, mechanism: str, incr: float,
-           agent_ids=None) -> PricingOutcome:
+           solve: Solver, agent_ids=None) -> PricingOutcome:
     if mechanism == "vcg":
-        return price_vcg(instance, allocation, agent_ids=agent_ids)
+        return price_vcg(instance, allocation, solver=solve, agent_ids=agent_ids)
     return price_coop(instance, allocation, incr, agent_ids=agent_ids)
 
 
-def _offline(instance: Instance, mechanism: str, incr: float, time_limit: float):
-    result = solve_exact(build_model(instance), time_limit=time_limit)
-    outcome = _price(instance, result.allocation, mechanism, incr)
+def _offline(instance: Instance, mechanism: str, incr: float, solve: Solver):
+    result = solve(instance)
+    outcome = _price(instance, result.allocation, mechanism, incr, solve)
     return result, outcome
 
 
@@ -113,7 +114,7 @@ def run_exp1(
     reps: int = 5,
     seed0: int = 0,
     ev_counts: tuple[int, ...] = (0, 5, 10, 15, 20, 25, 30),
-    time_limit: float = 300.0,
+    time_limit: float = DEFAULT_TIME_LIMIT,
     incr: float = DEFAULT_INCR,
     clearings: int = 5,
 ) -> list[str]:
@@ -123,6 +124,7 @@ def run_exp1(
     the host.  Time-limited solves are flagged in the status column, never
     dropped.
     """
+    solve = partial(default_solver, time_limit=time_limit)
     rows = []
     for n in ev_counts:
         for rep in range(reps):
@@ -131,21 +133,18 @@ def run_exp1(
             instance = generate(params, seed)
             for mechanism in ("coop", "vcg"):
                 t0 = time.perf_counter()
-                result, outcome = _offline(instance, mechanism, incr, time_limit)
+                result, outcome = _offline(instance, mechanism, incr, solve)
                 dt = time.perf_counter() - t0
                 rows.append([n, "offline", mechanism, seed, f"{dt:.4f}",
                              len(outcome.charged), result.status])
                 t0 = time.perf_counter()
                 online = run_online(
                     instance, _clearing_schedule(params, clearings),
-                    mechanism=mechanism, incr=incr,
+                    mechanism=mechanism, solver=solve, incr=incr,
                 )
                 dt = time.perf_counter() - t0
-                status = "optimal" if all(
-                    c.status in ("optimal", "no-op") for c in online.clearings
-                ) else "feasible_time_limited"
                 rows.append([n, "online", mechanism, seed, f"{dt:.4f}",
-                             len(online.outcome.charged), status])
+                             len(online.outcome.charged), online.status])
     path = os.path.join(out_dir, "exp1_runtime_timing.csv")
     _write_csv(path, ["n_evs", "mode", "mechanism", "seed", "runtime_s",
                       "serviced", "status"], rows)
@@ -160,11 +159,12 @@ def run_exp2(
     reps: int = 20,
     seed0: int = 0,
     ev_counts: tuple[int, ...] = (10, 20, 30),
-    time_limit: float = 300.0,
+    time_limit: float = DEFAULT_TIME_LIMIT,
     incr: float = DEFAULT_INCR,
     clearings: int = 5,
 ) -> list[str]:
     """Serviced fraction and mean agent utility per mechanism and mode."""
+    solve = partial(default_solver, time_limit=time_limit)
     per_rep = []
     agg: dict[tuple, dict[str, list[float]]] = {}
     for n in ev_counts:
@@ -173,10 +173,10 @@ def run_exp2(
             params = desk_params(n_evs=n)
             instance = generate(params, seed)
             for mechanism in ("coop", "vcg"):
-                _, off = _offline(instance, mechanism, incr, time_limit)
+                _, off = _offline(instance, mechanism, incr, solve)
                 online = run_online(
                     instance, _clearing_schedule(params, clearings),
-                    mechanism=mechanism, incr=incr, carryover=True,
+                    mechanism=mechanism, solver=solve, incr=incr, carryover=True,
                 )
                 for mode, outcome in (("offline", off), ("online", online.outcome)):
                     serviced = len(outcome.charged)
@@ -214,11 +214,12 @@ def run_exp3(
     reps: int = 20,
     seed0: int = 0,
     station_counts: tuple[int, ...] = (2, 4, 6, 8),
-    time_limit: float = 300.0,
+    time_limit: float = DEFAULT_TIME_LIMIT,
     incr: float = DEFAULT_INCR,
 ) -> list[str]:
     """Mean payment per charged agent and mechanism profit (budget), with a
     station-count sweep tracking where VCG revenue falls off."""
+    solve = partial(default_solver, time_limit=time_limit)
     per_rep = []
     agg: dict[tuple, dict[str, list[float]]] = {}
     for n_st in station_counts:
@@ -226,7 +227,7 @@ def run_exp3(
             seed = seed0 + rep
             instance = generate(desk_params(n_stations=n_st), seed)
             for mechanism in ("coop", "vcg"):
-                _, outcome = _offline(instance, mechanism, incr, time_limit)
+                _, outcome = _offline(instance, mechanism, incr, solve)
                 charged = outcome.charged
                 mean_pay = (
                     statistics.fmean(outcome.payments[a] for a in charged)
@@ -276,7 +277,7 @@ def run_exp4(
     seed0: int = 0,
     liar_fraction: float = 0.10,
     multiplier: float = 1.80,
-    time_limit: float = 300.0,
+    time_limit: float = DEFAULT_TIME_LIMIT,
     incr: float = DEFAULT_INCR,
 ) -> list[str]:
     """Liars (inflated valuation reports) vs the truthful baseline.
@@ -287,6 +288,7 @@ def run_exp4(
     to the liars (other agents' payments don't enter the comparison), which
     keeps the counterfactual solve count proportional to the liar count.
     """
+    solve = partial(default_solver, time_limit=time_limit)
     per_rep = []
     deltas: dict[str, dict[str, list[float]]] = {
         m: {"truthful": [], "lying": [], "charged_t": [], "charged_l": []}
@@ -300,13 +302,13 @@ def run_exp4(
             valuation_multiplier=multiplier, seed=seed,
         )
         liars = sorted(truth_map)
-        truth_result = solve_exact(build_model(truth_inst), time_limit=time_limit)
-        lying_result = solve_exact(build_model(lying_inst), time_limit=time_limit)
+        truth_result = solve(truth_inst)
+        lying_result = solve(lying_inst)
         for mechanism in ("coop", "vcg"):
             out_t = _price(truth_inst, truth_result.allocation, mechanism, incr,
-                           agent_ids=liars)
+                           solve, agent_ids=liars)
             out_l = _price(lying_inst, lying_result.allocation, mechanism, incr,
-                           agent_ids=liars)
+                           solve, agent_ids=liars)
             u_truth = [
                 float(out_t.utilities[a]) for a in liars
             ]

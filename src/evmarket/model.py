@@ -138,11 +138,15 @@ class Allocation:
     schedule: frozenset[tuple[str, str, int]]
     objective: Money
 
-    def agent_slots(self, agent_id: str) -> int:
-        return sum(1 for a, _, _ in self.schedule if a == agent_id)
 
-    def agent_triples(self, agent_id: str) -> frozenset[tuple[str, str, int]]:
-        return frozenset(tr for tr in self.schedule if tr[0] == agent_id)
+def _index(items, key, kind: str) -> dict:
+    index = {}
+    for item in items:
+        k = key(item)
+        if k in index:
+            raise ValueError(f"duplicate {kind} id {k!r}")
+        index[k] = item
+    return index
 
 
 @dataclass(frozen=True)
@@ -151,7 +155,9 @@ class Instance:
 
     pinned carries commitments from earlier market clearings that must be
     preserved verbatim; frozen_before marks the first time point the market
-    may still schedule (everything earlier is immutable history).
+    may still schedule (everything earlier is immutable history).  Station
+    ids and EV ids must each be unique; station() and request() look them up
+    in indexes built at construction.
     """
 
     time_grid: TimeGrid
@@ -162,27 +168,26 @@ class Instance:
     frozen_before: int = 0
     evs: tuple[EvType, ...] = field(default=())
     network: Optional[object] = None  # transport.RoadNetwork when routing is modelled
+    _stations_by_id: dict[str, Station] = field(init=False, repr=False, compare=False)
+    _requests_by_id: dict[str, EvRequest] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        station_ids = {s.id for s in self.stations}
+        stations = _index(self.stations, lambda s: s.id, "station")
+        requests = _index(self.requests, lambda r: r.ev.id, "EV")
         for req in self.requests:
-            unknown = set(req.per_station) - station_ids
+            unknown = set(req.per_station) - stations.keys()
             if unknown:
                 raise ValueError(f"request {req.ev.id} references unknown stations {sorted(unknown)}")
+        object.__setattr__(self, "_stations_by_id", stations)
+        object.__setattr__(self, "_requests_by_id", requests)
         if not self.evs:
             object.__setattr__(self, "evs", tuple(r.ev for r in self.requests))
 
     def station(self, station_id: str) -> Station:
-        for s in self.stations:
-            if s.id == station_id:
-                return s
-        raise KeyError(station_id)
+        return self._stations_by_id[station_id]
 
     def request(self, agent_id: str) -> EvRequest:
-        for r in self.requests:
-            if r.ev.id == agent_id:
-                return r
-        raise KeyError(agent_id)
+        return self._requests_by_id[agent_id]
 
     def without_agent(self, agent_id: str) -> "Instance":
         """Counterfactual instance with one agent's request removed."""

@@ -9,10 +9,10 @@ never touched by later clearings.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from .allocator import STATUS_OPTIMAL, SolveResult, evaluate_objective
+from .allocator import STATUS_OPTIMAL, STATUS_TIME_LIMITED, evaluate_objective
 from .model import Allocation, Instance, Money, PricingOutcome, imbalance_cost
 from .pricing import Solver, default_solver, price_coop, price_vcg
 
@@ -42,7 +42,7 @@ class ClearingResult:
     newly_committed: list[str]
     commitments_added: frozenset[tuple[str, str, int]]
     outcome: Optional[PricingOutcome]
-    status: str
+    status: str  # solve status of this clearing, or "no-op" when nobody was eligible
 
 
 @dataclass
@@ -50,6 +50,7 @@ class OnlineResult:
     clearings: list[ClearingResult]
     allocation: Allocation  # combined committed allocation on the full instance
     outcome: PricingOutcome  # merged payments/utilities with global accounting
+    status: str  # optimal when every clearing was proven optimal or a no-op
 
 
 def _remaining_window_fits(req, frozen_before: int) -> bool:
@@ -88,7 +89,6 @@ def run_online(
     leftovers: list[str] = []
     prev_point = 0
 
-    by_id = {r.ev.id: r for r in instance.requests}
     for t_p in clearing_schedule.points:
         new_ids = [
             r.ev.id
@@ -99,7 +99,7 @@ def run_online(
         eligible = [
             aid
             for aid in pool
-            if aid not in committed_assigned and _remaining_window_fits(by_id[aid], t_p)
+            if aid not in committed_assigned and _remaining_window_fits(instance.request(aid), t_p)
         ]
         prev_point = t_p
         if not eligible:
@@ -119,7 +119,7 @@ def run_online(
         clearing_instance = dataclasses.replace(
             instance,
             requests=tuple(
-                by_id[aid] for aid in list(committed_assigned) + eligible
+                instance.request(aid) for aid in list(committed_assigned) + eligible
             ),
             evs=(),
             pinned=pinned,
@@ -187,4 +187,10 @@ def run_online(
         total_imbalance_cost=total_imb,
         budget=total_budget,
     )
-    return OnlineResult(clearings=clearings, allocation=combined, outcome=merged)
+    proven = all(c.status in (STATUS_OPTIMAL, "no-op") for c in clearings)
+    return OnlineResult(
+        clearings=clearings,
+        allocation=combined,
+        outcome=merged,
+        status=STATUS_OPTIMAL if proven else STATUS_TIME_LIMITED,
+    )

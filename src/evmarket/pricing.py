@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Optional
 
-from .allocator import STATUS_OPTIMAL, SolveResult, build_model, solve_exact
+from .allocator import DEFAULT_TIME_LIMIT, STATUS_OPTIMAL, SolveResult, build_model, solve_exact
 from .model import Allocation, Instance, Money, PricingOutcome, imbalance_cost
 
 Solver = Callable[[Instance], SolveResult]
@@ -25,7 +25,7 @@ class NoBreakeven(Exception):
     """The Coop markup never turned the budget positive within incr <= 1.0."""
 
 
-def default_solver(instance: Instance, time_limit: float = 300.0) -> SolveResult:
+def default_solver(instance: Instance, time_limit: float = DEFAULT_TIME_LIMIT) -> SolveResult:
     return solve_exact(build_model(instance), time_limit=time_limit)
 
 
@@ -53,28 +53,19 @@ def budget(instance: Instance, outcome: PricingOutcome) -> Money:
 
 
 def _finalize(
-    instance: Instance,
     payments: dict[str, Money],
     utilities: dict[str, Money],
     charged: frozenset[str],
     elec_costs: dict[str, Money],
     total_imbalance: Money,
 ) -> PricingOutcome:
-    partial = PricingOutcome(
-        payments=payments,
-        utilities=utilities,
-        charged=charged,
-        elec_costs=elec_costs,
-        total_imbalance_cost=total_imbalance,
-        budget=0,
-    )
     return PricingOutcome(
         payments=payments,
         utilities=utilities,
         charged=charged,
         elec_costs=elec_costs,
         total_imbalance_cost=total_imbalance,
-        budget=budget(instance, partial),
+        budget=sum(payments.values()) - sum(elec_costs.values()) - total_imbalance,
     )
 
 
@@ -125,7 +116,7 @@ def price_coop(
         kept, instance.stations, instance.time_grid, instance.imbalance_unit_cost
     )
     elec = {aid: _agent_elec_cost(instance, kept, aid) for aid in charged}
-    return _finalize(instance, payments, utilities, frozenset(charged), elec, total_imb)
+    return _finalize(payments, utilities, frozenset(charged), elec, total_imb)
 
 
 def price_vcg(
@@ -167,7 +158,7 @@ def price_vcg(
         allocation, instance.stations, instance.time_grid, instance.imbalance_unit_cost
     )
     elec = {aid: _agent_elec_cost(instance, allocation, aid) for aid in charged}
-    return _finalize(instance, payments, utilities, frozenset(charged), elec, total_imb)
+    return _finalize(payments, utilities, frozenset(charged), elec, total_imb)
 
 
 def calibrate_incr(

@@ -40,6 +40,14 @@ def _require(doc: dict, key: str):
     return doc[key]
 
 
+def _require_unique_ids(items, section: str) -> None:
+    seen = set()
+    for i, item in enumerate(items):
+        if item.id in seen:
+            raise FormatError(f"{section}[{i}].id", f"duplicate id {item.id!r}")
+        seen.add(item.id)
+
+
 def instance_to_dict(instance: Instance) -> dict:
     doc = {
         "format_version": FORMAT_VERSION,
@@ -108,6 +116,7 @@ def instance_from_dict(doc: dict) -> Instance:
             )
             for i, s in enumerate(_require(doc, "stations"))
         )
+        _require_unique_ids(stations, "stations")
         evs = tuple(
             EvType(
                 id=str(_require(e, "id")),
@@ -124,6 +133,7 @@ def instance_from_dict(doc: dict) -> Instance:
             )
             for e in _require(doc, "evs")
         )
+        _require_unique_ids(evs, "evs")
         imbalance = int(_require(doc, "imbalance_unit_cost"))
         network: Optional[RoadNetwork] = None
         if doc.get("network") is not None:
@@ -140,19 +150,18 @@ def instance_from_dict(doc: dict) -> Instance:
                     per_walk_km=int(nd.get("per_walk_km", 0)),
                 ),
             )
+        return Instance(
+            time_grid=grid,
+            stations=stations,
+            requests=tuple(build_requests(network, evs, stations, grid)),
+            imbalance_unit_cost=imbalance,
+            evs=evs,
+            network=network,
+        )
     except FormatError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError("document", str(exc)) from exc
-    requests = tuple(build_requests(network, evs, stations, grid))
-    return Instance(
-        time_grid=grid,
-        stations=stations,
-        requests=requests,
-        imbalance_unit_cost=imbalance,
-        evs=evs,
-        network=network,
-    )
 
 
 def dump_instance(instance: Instance, path: str) -> None:

@@ -32,9 +32,6 @@ from evmarket.experiments import desk_params, run_exp1, run_exp2, run_exp4
 
 from conftest import bf_solver, flat_instance, make_ev, make_station, random_flat_instance
 
-ARTIFACT_DIR = os.path.join(os.path.dirname(__file__), "..", "artifacts")
-
-
 # one line per criterion; echoed by the terminal-summary hook in conftest so
 # they appear even when pytest captures stdout
 RESULTS = []
@@ -370,17 +367,16 @@ def test_09_determinism(tmp_path):
 # ------------------------------------------------------------------ 10
 
 
-def test_10_scalability():
+def test_10_scalability(tmp_path):
     inst = generate(desk_params(n_evs=20), seed=0)
     t0 = time.time()
     result = solve_exact(build_model(inst))
     price_vcg(inst, result.allocation)
     elapsed = time.time() - t0
-    os.makedirs(ARTIFACT_DIR, exist_ok=True)
-    run_exp1(ARTIFACT_DIR, reps=2, seed0=0)
-    curve = os.path.join(ARTIFACT_DIR, "exp1_runtime_timing.csv")
+    run_exp1(str(tmp_path), reps=2, seed0=0)
+    curve = os.path.join(tmp_path, "exp1_runtime_timing.csv")
     _report(
         10, elapsed < 120 and os.path.exists(curve),
         f"(20 EVs x 4 stations x 24 points solved+priced in {elapsed:.1f}s; "
-        f"runtime curve at {os.path.relpath(curve)})",
+        f"runtime curve written to {os.path.basename(curve)})",
     )

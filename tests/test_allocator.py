@@ -2,7 +2,8 @@ import dataclasses
 
 import pytest
 
-from evmarket import Allocation, build_model, solve_exact, validate_allocation
+import evmarket.allocator
+from evmarket import Allocation, build_model, solve_bruteforce, solve_exact, validate_allocation
 from evmarket.allocator import InfeasiblePin, evaluate_objective
 
 from conftest import flat_instance, make_ev, make_station, random_flat_instance
@@ -46,11 +47,10 @@ def test_model_shape():
     assert len(m.charge_index) == 16
     assert len(m.m_index) == 8
     assert m.n_vars == 28
-    tags = {t.split(":")[0] for t in m.row_tags}
-    assert tags == {
-        "single-station", "min-charge", "battery-capacity", "assignment-link",
-        "station-capacity", "imbalance-lb-pos", "imbalance-lb-neg",
-    }
+    # 2 single-station, 4 min-charge, 4 battery-capacity, 16 assignment-link,
+    # 8 station-capacity and 8 + 8 imbalance rows
+    assert m.A.shape == (50, 28)
+    assert m.A.nnz == 136
 
 
 def test_infeasible_pairs_pruned():
@@ -72,10 +72,22 @@ def test_determinism(tiny2):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_engines_agree(seed):
+    # the HiGHS engine against the enumeration oracle
     inst = random_flat_instance(seed * 31 + 5)
-    m1 = solve_exact(build_model(inst), engine="highs")
-    m2 = solve_exact(build_model(inst), engine="bnb")
-    assert m1.allocation.objective == m2.allocation.objective
+    assert solve_exact(build_model(inst)).allocation.objective == solve_bruteforce(inst).objective
+
+
+def test_objective_drift_raises(tiny1, monkeypatch):
+    real_milp = evmarket.allocator.milp
+
+    def off_by_one_cent(*args, **kwargs):
+        res = real_milp(*args, **kwargs)
+        res.fun += 1.0
+        return res
+
+    monkeypatch.setattr(evmarket.allocator, "milp", off_by_one_cent)
+    with pytest.raises(RuntimeError, match="drifted"):
+        solve_exact(build_model(tiny1))
 
 
 def test_evaluate_objective_matches_solver(tiny1):

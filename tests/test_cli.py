@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+import evmarket.pricing
 from evmarket.cli import main
 from evmarket.serialize import dump_instance
 
@@ -85,6 +86,24 @@ def test_online_command(tmp_path, tiny1_file):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["mode"] == "online"
     assert summary["serviced"] == 2
+
+
+def test_time_limit_reaches_every_solve(tmp_path, tiny1_file, monkeypatch):
+    limits = []
+    real_solve_exact = evmarket.pricing.solve_exact
+
+    def recording_solve_exact(model, time_limit):
+        limits.append(time_limit)
+        return real_solve_exact(model, time_limit)
+
+    monkeypatch.setattr(evmarket.pricing, "solve_exact", recording_solve_exact)
+    assert main(["solve", tiny1_file, "--mechanism", "vcg", "--time-limit", "7",
+                 "--out", str(tmp_path / "solve")]) == 0
+    assert len(limits) == 3  # the allocation plus one counterfactual per winner
+    assert main(["online", tiny1_file, "--mechanism", "vcg", "--time-limit", "7",
+                 "--clearing-points", "1", "--out", str(tmp_path / "online")]) == 0
+    assert len(limits) == 6
+    assert set(limits) == {7.0}
 
 
 def test_calibrate_incr_command(tmp_path, capsys):

@@ -88,3 +88,11 @@ def test_without_agent(tiny1):
     rest = tiny1.without_agent("a1")
     assert [r.ev.id for r in rest.requests] == ["a2"]
     assert [e.id for e in rest.evs] == ["a2"]
+
+
+def test_instance_rejects_duplicate_ids(tiny1):
+    import dataclasses
+    with pytest.raises(ValueError, match="duplicate EV id 'a1'"):
+        dataclasses.replace(tiny1, requests=(tiny1.requests[0], tiny1.requests[0]))
+    with pytest.raises(ValueError, match="duplicate station id 'L1'"):
+        dataclasses.replace(tiny1, stations=(tiny1.stations[0], tiny1.stations[0]))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from evmarket import ClearingSchedule, build_model, run_online, solve_exact
@@ -68,7 +70,20 @@ def test_window_expired_agent_excluded():
     )
     result = run_online(inst, ClearingSchedule((3,)), solver=bf_solver)
     assert result.clearings[0].status == "no-op"
+    assert result.status == "optimal"  # a no-op clearing proves nothing wrong
     assert result.outcome.charged == frozenset()
+
+
+def test_run_status_flags_unproven_clearing(tiny1):
+    proven = run_online(tiny1, ClearingSchedule((1,)), mechanism="coop", solver=bf_solver)
+    assert proven.status == "optimal"
+
+    def time_limited(instance):
+        return dataclasses.replace(bf_solver(instance), status="feasible_time_limited")
+
+    unproven = run_online(tiny1, ClearingSchedule((1,)), mechanism="coop", solver=time_limited)
+    assert [c.status for c in unproven.clearings] == ["feasible_time_limited"]
+    assert unproven.status == "feasible_time_limited"
 
 
 def test_carryover_keeps_agents_eligible():

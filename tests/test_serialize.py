@@ -55,6 +55,20 @@ def test_missing_nested_key_named():
     assert exc.value.key == "slots"
 
 
+def test_duplicate_ids_named():
+    doc = instance_to_dict(generate(GenParams(n_evs=2, n_stations=2, horizon=6), seed=0))
+    doc["evs"][1]["id"] = doc["evs"][0]["id"]
+    with pytest.raises(FormatError) as exc:
+        instance_from_dict(doc)
+    assert exc.value.key == "evs[1].id"
+
+    doc = instance_to_dict(generate(GenParams(n_evs=2, n_stations=2, horizon=6), seed=0))
+    doc["stations"][1]["id"] = doc["stations"][0]["id"]
+    with pytest.raises(FormatError) as exc:
+        instance_from_dict(doc)
+    assert exc.value.key == "stations[1].id"
+
+
 def test_malformed_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
