@@ -32,7 +32,7 @@ from .allocator import (
     validate_allocation,
 )
 from .bruteforce import solve_bruteforce
-from .pricing import budget, calibrate_incr, price_coop, price_vcg
+from .pricing import calibrate_incr, price, price_coop, price_vcg
 from .online import ClearingSchedule, OnlineResult, run_online
 from .scenario import GenParams, generate, perturb_reports
 
@@ -56,13 +56,13 @@ __all__ = [
     "STATUS_TIME_LIMITED",
     "TimeCostParams",
     "TimeGrid",
-    "budget",
     "build_model",
     "build_requests",
     "calibrate_incr",
     "generate",
     "imbalance_cost",
     "perturb_reports",
+    "price",
     "price_coop",
     "price_vcg",
     "run_online",

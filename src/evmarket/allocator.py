@@ -5,10 +5,15 @@ minus the imbalance penalty, with one auxiliary nonnegative variable per
 (station, time) cell linearizing the absolute imbalance term (two lower-bound
 rows per cell).
 
+Pinned commitments are checked with validate_allocation, the same rules
+that judge any allocation; build_model raises InfeasiblePin naming every
+violation instead of building a model around a bad pin.
+
 solve_exact hands the model to HiGHS branch-and-cut (scipy's milp) with a
-zero MIP gap.  The solution is re-evaluated in exact integer arithmetic so
-that reported optima are bit-reproducible and comparable across
-counterfactual solves.
+zero MIP gap.  The solution is re-evaluated in exact integer arithmetic
+(evaluate_objective, whose imbalance term is model.imbalance_cost) so that
+reported optima are bit-reproducible and comparable across counterfactual
+solves.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-from .model import Allocation, Instance, Money
+from .model import Allocation, Instance, Money, imbalance_cost
 
 STATUS_OPTIMAL = "optimal"
 STATUS_TIME_LIMITED = "feasible_time_limited"
@@ -30,7 +35,8 @@ DEFAULT_TIME_LIMIT = 300.0  # seconds per exact solve
 
 
 class InfeasiblePin(Exception):
-    """A pinned commitment violates window, capacity, or battery constraints."""
+    """The pinned commitments fail validate_allocation; the message lists
+    each violation by code and detail."""
 
 
 class Infeasible(Exception):
@@ -70,39 +76,6 @@ class SolveResult:
     runtime_s: float = 0.0
 
 
-def _check_pins(instance: Instance) -> None:
-    pinned = instance.pinned
-    if pinned is None:
-        return
-    horizon = instance.time_grid.horizon_len
-    loads: dict[tuple[str, int], int] = {}
-    for aid, sid, t in pinned.schedule:
-        if pinned.assigned.get(aid) != sid:
-            raise InfeasiblePin(f"pinned slot for {aid} at {sid} without a pinned assignment")
-        loads[(sid, t)] = loads.get((sid, t), 0) + 1
-        if not 0 <= t < horizon:
-            raise InfeasiblePin(f"pinned slot ({aid},{sid},{t}) outside the horizon")
-    for aid, sid in pinned.assigned.items():
-        if sid is None:
-            continue
-        req = instance.request(aid)
-        if sid not in req.per_station:
-            raise InfeasiblePin(f"pinned station {sid} not reachable for {aid}")
-        acc = req.access(sid)
-        st = instance.station(sid)
-        slots = [t for a, s, t in pinned.schedule if a == aid and s == sid]
-        for t in slots:
-            if not acc.arrival <= t < acc.departure:
-                raise InfeasiblePin(f"pinned slot ({aid},{sid},{t}) outside window")
-        if len(slots) < acc.charge_slots_needed:
-            raise InfeasiblePin(f"pinned schedule for {aid} delivers less than its demand")
-        if len(slots) * st.rate + acc.battery_on_arrival > req.ev.battery_capacity:
-            raise InfeasiblePin(f"pinned schedule for {aid} exceeds battery capacity")
-    for (sid, t), load in loads.items():
-        if load > instance.station(sid).slots:
-            raise InfeasiblePin(f"pinned load {load} exceeds capacity at ({sid},{t})")
-
-
 def build_model(instance: Instance) -> IpModel:
     """Assemble objective, constraint rows, and variable bounds.
 
@@ -111,7 +84,10 @@ def build_model(instance: Instance) -> IpModel:
     to its committed value; unpinned agents cannot charge before
     instance.frozen_before (the market cannot schedule the past).
     """
-    _check_pins(instance)
+    if instance.pinned is not None:
+        violations = validate_allocation(instance, instance.pinned)
+        if violations:
+            raise InfeasiblePin("; ".join(f"{v.code}: {v.detail}" for v in violations))
     horizon = instance.time_grid.horizon_len
     pinned_assigned = dict(instance.pinned.assigned) if instance.pinned else {}
     pinned_slots = instance.pinned.schedule if instance.pinned else frozenset()
@@ -247,15 +223,11 @@ def evaluate_objective(
         sid = assigned.get(req.ev.id)
         if sid is not None:
             total += req.access(sid).valuation
-    loads: dict[tuple[str, int], int] = {}
-    for _, sid, t in schedule:
+    for _, sid, _ in schedule:
         total -= instance.station(sid).slot_elec_cost
-        loads[(sid, t)] = loads.get((sid, t), 0) + 1
-    for st in instance.stations:
-        for t in range(instance.time_grid.horizon_len):
-            dem = st.expected_demand[t] if t < len(st.expected_demand) else 0
-            total -= abs(loads.get((st.id, t), 0) - dem) * instance.imbalance_unit_cost
-    return total
+    _, imbalance = imbalance_cost(Allocation(assigned, schedule, 0), instance.stations,
+                                  instance.time_grid, instance.imbalance_unit_cost)
+    return total - imbalance
 
 
 def _allocation_from_x(model: IpModel, x: np.ndarray) -> Allocation:
@@ -326,10 +298,20 @@ def validate_allocation(instance: Instance, allocation: Allocation) -> list[Viol
     """Check every scheduling constraint; empty list means the allocation is valid."""
     violations: list[Violation] = []
     horizon = instance.time_grid.horizon_len
+    station_ids = {st.id for st in instance.stations}
 
     stations_used: dict[str, set[str]] = {}
+    slots: dict[str, list[int]] = {}  # each agent's slots at its assigned station
+    loads: dict[tuple[str, int], int] = {}
     for aid, sid, t in allocation.schedule:
         stations_used.setdefault(aid, set()).add(sid)
+        loads[(sid, t)] = loads.get((sid, t), 0) + 1
+        if allocation.assigned.get(aid) == sid:
+            slots.setdefault(aid, []).append(t)
+        else:
+            violations.append(
+                Violation("unassigned-charging", (aid, sid, t), f"{aid} charges at {sid} unassigned")
+            )
     for aid, used in stations_used.items():
         if len(used) > 1:
             violations.append(
@@ -351,37 +333,31 @@ def validate_allocation(instance: Instance, allocation: Allocation) -> list[Viol
             continue
         acc = req.access(sid)
         st = instance.station(sid)
-        slots = [t for a, s, t in allocation.schedule if a == aid and s == sid]
-        if len(slots) < acc.charge_slots_needed:
+        times = slots.get(aid, [])
+        for t in times:
+            if not (acc.arrival <= t < acc.departure) or not (0 <= t < horizon):
+                violations.append(
+                    Violation("outside-window", (aid, sid, t), f"slot {t} outside {aid}'s window at {sid}")
+                )
+        if len(times) < acc.charge_slots_needed:
             violations.append(
                 Violation(
                     "min-charge",
                     (aid, sid),
-                    f"{aid} gets {len(slots)} slots, needs {acc.charge_slots_needed}",
+                    f"{aid} gets {len(times)} slots, needs {acc.charge_slots_needed}",
                 )
             )
-        if len(slots) * st.rate + acc.battery_on_arrival > req.ev.battery_capacity:
+        if len(times) * st.rate + acc.battery_on_arrival > req.ev.battery_capacity:
             violations.append(
                 Violation("battery-capacity", (aid, sid), f"{aid} overfills its battery")
             )
 
-    for aid, sid, t in allocation.schedule:
-        if allocation.assigned.get(aid) != sid:
-            violations.append(
-                Violation("unassigned-charging", (aid, sid, t), f"{aid} charges at {sid} unassigned")
-            )
-            continue
-        acc = instance.request(aid).per_station.get(sid)
-        if acc is None or not (acc.arrival <= t < acc.departure) or not (0 <= t < horizon):
-            violations.append(
-                Violation("outside-window", (aid, sid, t), f"slot {t} outside {aid}'s window at {sid}")
-            )
-
-    loads: dict[tuple[str, int], int] = {}
-    for _, sid, t in allocation.schedule:
-        loads[(sid, t)] = loads.get((sid, t), 0) + 1
+    named = {sid for sid in allocation.assigned.values() if sid is not None}
+    named |= {sid for _, sid, _ in allocation.schedule}
+    for sid in sorted(named - station_ids):
+        violations.append(Violation("unknown-station", (sid,), f"{sid} not in instance"))
     for (sid, t), load in loads.items():
-        if load > instance.station(sid).slots:
+        if sid in station_ids and load > instance.station(sid).slots:
             violations.append(
                 Violation(
                     "station-capacity",

@@ -6,7 +6,8 @@ byte-identical for a fixed command line and seed; wall-clock measurements go
 into separate files with "timing" in their name.
 
 Exit codes for solve/online: 0 = proven optimum, 2 = time-limited incumbent
-(payments may be missing because VCG refuses unproven counterfactuals),
+(payments may be missing because VCG refuses an unproven allocation or
+counterfactual),
 1 = parse error or infeasibility, with a diagnostic naming the offending key
 or constraint.
 """
@@ -25,12 +26,12 @@ from .allocator import DEFAULT_TIME_LIMIT, STATUS_OPTIMAL, Infeasible, Infeasibl
 from .model import MONEY_SCALE
 from .online import ClearingSchedule, run_online
 from .pricing import (
+    MECHANISMS,
     CounterfactualNotOptimal,
     NoBreakeven,
     calibrate_incr,
     default_solver,
-    price_coop,
-    price_vcg,
+    price,
 )
 from .scenario import GenParams, ResampleLimit, generate
 from .serialize import (
@@ -128,12 +129,10 @@ def cmd_solve(args) -> int:
     outcome = None
     note = {}
     code = EXIT_OK if result.status == STATUS_OPTIMAL else EXIT_TIME_LIMITED
+    if args.mechanism == "coop":
+        note["incr"] = args.incr
     try:
-        if args.mechanism == "vcg":
-            outcome = price_vcg(instance, result.allocation, solver=solve)
-        else:
-            outcome = price_coop(instance, result.allocation, args.incr)
-            note["incr"] = args.incr
+        outcome = price(args.mechanism, instance, result, args.incr, solver=solve)
     except CounterfactualNotOptimal as exc:
         note["pricing_error"] = str(exc)
         code = EXIT_TIME_LIMITED
@@ -226,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", parents=[common], help="solve and price one instance offline")
     p.add_argument("instance")
-    p.add_argument("--mechanism", choices=("coop", "vcg"), default="vcg")
+    p.add_argument("--mechanism", choices=MECHANISMS, default="vcg")
     p.add_argument("--incr", type=float, default=experiments.DEFAULT_INCR,
                    help="coop markup fraction")
     p.add_argument("--out", default="out")
@@ -234,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("online", parents=[common], help="run periodic market clearing")
     p.add_argument("instance")
-    p.add_argument("--mechanism", choices=("coop", "vcg"), default="vcg")
+    p.add_argument("--mechanism", choices=MECHANISMS, default="vcg")
     p.add_argument("--incr", type=float, default=experiments.DEFAULT_INCR)
     p.add_argument("--clearings", type=int, default=5,
                    help="number of evenly spaced clearing points")

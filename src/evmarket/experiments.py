@@ -26,9 +26,9 @@ from typing import Optional
 from scipy import stats as scipy_stats
 
 from .allocator import DEFAULT_TIME_LIMIT
-from .model import Instance, Money, PricingOutcome
+from .model import Instance, Money
 from .online import ClearingSchedule, run_online
-from .pricing import Solver, default_solver, price_coop, price_vcg
+from .pricing import MECHANISMS, Solver, default_solver, price
 from .scenario import GenParams, generate, perturb_reports
 
 # Desk-scale profile: small enough that every exact solve (including VCG
@@ -83,16 +83,9 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
         w.writerows(rows)
 
 
-def _price(instance: Instance, allocation, mechanism: str, incr: float,
-           solve: Solver, agent_ids=None) -> PricingOutcome:
-    if mechanism == "vcg":
-        return price_vcg(instance, allocation, solver=solve, agent_ids=agent_ids)
-    return price_coop(instance, allocation, incr, agent_ids=agent_ids)
-
-
 def _offline(instance: Instance, mechanism: str, incr: float, solve: Solver):
     result = solve(instance)
-    outcome = _price(instance, result.allocation, mechanism, incr, solve)
+    outcome = price(mechanism, instance, result, incr, solver=solve)
     return result, outcome
 
 
@@ -131,7 +124,7 @@ def run_exp1(
             seed = seed0 + rep
             params = desk_params(n_evs=n)
             instance = generate(params, seed)
-            for mechanism in ("coop", "vcg"):
+            for mechanism in MECHANISMS:
                 t0 = time.perf_counter()
                 result, outcome = _offline(instance, mechanism, incr, solve)
                 dt = time.perf_counter() - t0
@@ -172,7 +165,7 @@ def run_exp2(
             seed = seed0 + rep
             params = desk_params(n_evs=n)
             instance = generate(params, seed)
-            for mechanism in ("coop", "vcg"):
+            for mechanism in MECHANISMS:
                 _, off = _offline(instance, mechanism, incr, solve)
                 online = run_online(
                     instance, _clearing_schedule(params, clearings),
@@ -226,7 +219,7 @@ def run_exp3(
         for rep in range(reps):
             seed = seed0 + rep
             instance = generate(desk_params(n_stations=n_st), seed)
-            for mechanism in ("coop", "vcg"):
+            for mechanism in MECHANISMS:
                 _, outcome = _offline(instance, mechanism, incr, solve)
                 charged = outcome.charged
                 mean_pay = (
@@ -292,7 +285,7 @@ def run_exp4(
     per_rep = []
     deltas: dict[str, dict[str, list[float]]] = {
         m: {"truthful": [], "lying": [], "charged_t": [], "charged_l": []}
-        for m in ("coop", "vcg")
+        for m in MECHANISMS
     }
     for rep in range(reps):
         seed = seed0 + rep
@@ -304,11 +297,11 @@ def run_exp4(
         liars = sorted(truth_map)
         truth_result = solve(truth_inst)
         lying_result = solve(lying_inst)
-        for mechanism in ("coop", "vcg"):
-            out_t = _price(truth_inst, truth_result.allocation, mechanism, incr,
-                           solve, agent_ids=liars)
-            out_l = _price(lying_inst, lying_result.allocation, mechanism, incr,
-                           solve, agent_ids=liars)
+        for mechanism in MECHANISMS:
+            out_t = price(mechanism, truth_inst, truth_result, incr,
+                          solver=solve, agent_ids=liars)
+            out_l = price(mechanism, lying_inst, lying_result, incr,
+                          solver=solve, agent_ids=liars)
             u_truth = [
                 float(out_t.utilities[a]) for a in liars
             ]
@@ -338,7 +331,7 @@ def run_exp4(
                            "liars_charged_truthful", "liars_charged_lying",
                            "status_truthful", "status_lying"], per_rep)
     agg_rows = []
-    for mech in ("coop", "vcg"):
+    for mech in MECHANISMS:
         d = deltas[mech]
         diff = [l - t for t, l in zip(d["truthful"], d["lying"])]
         # paired comparison: same seeds, same instances, only the reports differ

@@ -11,7 +11,7 @@ All types are immutable after construction and safe to share across workers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Optional
+from typing import AbstractSet, Mapping, Optional
 
 Money = int  # fixed-point, MONEY_SCALE units per currency unit
 Energy = int  # whole energy units
@@ -207,7 +207,31 @@ class PricingOutcome:
     charged: frozenset[str]
     elec_costs: Mapping[str, Money]  # electricity cost of each charged agent's schedule
     total_imbalance_cost: Money
-    budget: Money
+
+    @property
+    def budget(self) -> Money:
+        """Mechanism cash position: payments received minus electricity
+        bought minus the imbalance penalty."""
+        return (
+            sum(self.payments.values())
+            - sum(self.elec_costs.values())
+            - self.total_imbalance_cost
+        )
+
+    @classmethod
+    def settle(cls, instance: Instance, allocation: Allocation, payments: Mapping[str, Money],
+               utilities: Mapping[str, Money], charged: AbstractSet[str]) -> "PricingOutcome":
+        """Outcome of serving the charged agents on allocation: each one's
+        electricity cost over its scheduled slots, and the imbalance of the
+        whole schedule."""
+        elec = dict.fromkeys(sorted(charged), 0)
+        for aid, sid, _ in allocation.schedule:
+            if aid in elec:
+                elec[aid] += instance.station(sid).slot_elec_cost
+        _, total_imbalance = imbalance_cost(
+            allocation, instance.stations, instance.time_grid, instance.imbalance_unit_cost
+        )
+        return cls(payments, utilities, frozenset(charged), elec, total_imbalance)
 
 
 def imbalance_cost(

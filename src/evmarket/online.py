@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .allocator import STATUS_OPTIMAL, STATUS_TIME_LIMITED, evaluate_objective
-from .model import Allocation, Instance, Money, PricingOutcome, imbalance_cost
-from .pricing import Solver, default_solver, price_coop, price_vcg
+from .model import Allocation, Instance, PricingOutcome
+from .pricing import MECHANISMS, Solver, default_solver, price
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ def run_online(
     instance: Instance,
     clearing_schedule: ClearingSchedule,
     mechanism: str = "vcg",
-    solver: Optional[Solver] = None,
+    solver: Solver = default_solver,
     incr: float = 0.025,
     carryover: bool = False,
 ) -> OnlineResult:
@@ -74,19 +74,16 @@ def run_online(
     commitments, re-solve from the clearing time onward, and price the new
     winners.  With carryover=True, agents left out at their first clearing
     stay eligible while their remaining window still fits their demand;
-    the default is single-shot participation.
+    the default is single-shot participation.  A VCG clearing whose solve
+    is not proven optimal raises CounterfactualNotOptimal.
     """
-    if mechanism not in ("coop", "vcg"):
+    if mechanism not in MECHANISMS:
         raise ValueError(f"unknown mechanism {mechanism!r}")
-    solve = solver if solver is not None else default_solver
 
     committed_assigned: dict[str, str] = {}
     committed_schedule: set[tuple[str, str, int]] = set()
-    payments: dict[str, Money] = {}
-    utilities: dict[str, Money] = {}
-    elec_costs: dict[str, Money] = {}
     clearings: list[ClearingResult] = []
-    leftovers: list[str] = []
+    pool: list[str] = []
     prev_point = 0
 
     for t_p in clearing_schedule.points:
@@ -95,7 +92,8 @@ def run_online(
             for r in instance.requests
             if prev_point <= r.ev.start_time < t_p and r.ev.id not in committed_assigned
         ]
-        pool = (leftovers + new_ids) if carryover else new_ids
+        carried = [aid for aid in pool if aid not in committed_assigned] if carryover else []
+        pool = carried + new_ids
         eligible = [
             aid
             for aid in pool
@@ -106,9 +104,6 @@ def run_online(
             clearings.append(
                 ClearingResult(t_p, [], [], frozenset(), None, "no-op")
             )
-            leftovers = [] if not carryover else [
-                aid for aid in pool if aid not in committed_assigned
-            ]
             continue
 
         pinned = Allocation(
@@ -125,44 +120,23 @@ def run_online(
             pinned=pinned,
             frozen_before=t_p,
         )
-        result = solve(clearing_instance)
+        result = solver(clearing_instance)
         allocation = result.allocation
         newly_assigned = [
             aid for aid in eligible if allocation.assigned.get(aid) is not None
         ]
-        if mechanism == "vcg":
-            outcome = price_vcg(
-                clearing_instance, allocation, solver=solve, agent_ids=newly_assigned
-            )
-        else:
-            outcome = price_coop(
-                clearing_instance, allocation, incr, agent_ids=newly_assigned
-            )
-        # only agents that actually charge become commitments
-        added: set[tuple[str, str, int]] = set()
-        committed_now = []
-        for aid in newly_assigned:
-            if aid not in outcome.charged:
-                continue
-            committed_now.append(aid)
-            committed_assigned[aid] = allocation.assigned[aid]
-            for tr in allocation.schedule:
-                if tr[0] == aid:
-                    added.add(tr)
-        committed_schedule |= added
-        for aid in committed_now:
-            payments[aid] = outcome.payments[aid]
-            utilities[aid] = outcome.utilities[aid]
-            elec_costs[aid] = outcome.elec_costs[aid]
-        clearings.append(
-            ClearingResult(
-                t_p, eligible, committed_now, frozenset(added), outcome, result.status
-            )
+        outcome = price(
+            mechanism, clearing_instance, result, incr, solver=solver, agent_ids=newly_assigned
         )
-        if carryover:
-            leftovers = [aid for aid in pool if aid not in committed_assigned]
-        else:
-            leftovers = []
+        # only agents that actually charge become commitments
+        committed_now = [aid for aid in newly_assigned if aid in outcome.charged]
+        for aid in committed_now:
+            committed_assigned[aid] = allocation.assigned[aid]
+        added = frozenset(tr for tr in allocation.schedule if tr[0] in outcome.charged)
+        committed_schedule |= added
+        clearings.append(
+            ClearingResult(t_p, eligible, committed_now, added, outcome, result.status)
+        )
 
     assigned_all: dict[str, Optional[str]] = {
         r.ev.id: committed_assigned.get(r.ev.id) for r in instance.requests
@@ -173,19 +147,14 @@ def run_online(
         schedule=schedule_all,
         objective=evaluate_objective(instance, assigned_all, schedule_all),
     )
-    _, total_imb = imbalance_cost(
-        combined, instance.stations, instance.time_grid, instance.imbalance_unit_cost
-    )
-    all_payments = {r.ev.id: payments.get(r.ev.id, 0) for r in instance.requests}
-    all_utilities = {r.ev.id: utilities.get(r.ev.id, 0) for r in instance.requests}
-    total_budget = sum(payments.values()) - sum(elec_costs.values()) - total_imb
-    merged = PricingOutcome(
-        payments=all_payments,
-        utilities=all_utilities,
-        charged=frozenset(committed_assigned),
-        elec_costs=dict(elec_costs),
-        total_imbalance_cost=total_imb,
-        budget=total_budget,
+    payments = dict.fromkeys(assigned_all, 0)
+    utilities = dict.fromkeys(assigned_all, 0)
+    for c in clearings:
+        for aid in c.newly_committed:
+            payments[aid] = c.outcome.payments[aid]
+            utilities[aid] = c.outcome.utilities[aid]
+    merged = PricingOutcome.settle(
+        instance, combined, payments, utilities, frozenset(committed_assigned)
     )
     proven = all(c.status in (STATUS_OPTIMAL, "no-op") for c in clearings)
     return OnlineResult(

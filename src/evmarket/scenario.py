@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
-from .model import EvType, Instance, Money, Station, TimeGrid, money_from_float
+from .model import EvType, Instance, Money, Station, TimeGrid
 from .transport import RoadNetwork, TimeCostParams, build_requests, reprice_requests
 
 

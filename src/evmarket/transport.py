@@ -92,21 +92,26 @@ def shortest_route(network: RoadNetwork, from_node: int, to_node: int) -> Route:
     raise NoPath(f"no route from {from_node} to {to_node}")
 
 
-def _flat_access(ev: EvType, station: Station, horizon: int) -> Optional[StationAccess]:
-    arrival = ev.start_time
+def _access(
+    ev: EvType, station: Station, horizon: int, drive_time: int, energy: int, kappa: Money
+) -> Optional[StationAccess]:
+    """Window and valuation at one station for an EV that spends drive_time
+    points and energy units reaching it and bears time cost kappa there."""
+    if ev.battery_initial < energy:  # cannot reach the station at all
+        return None
+    arrival = ev.start_time + drive_time
     departure = min(arrival + ev.park_duration, horizon)
     if arrival >= horizon or arrival >= departure:
         return None
     needed = math.ceil(ev.energy_demand / station.rate)
     if departure - arrival < needed:
         return None
-    val = max(0, ev.base_valuation - ev.time_cost)
     return StationAccess(
         arrival=arrival,
         departure=departure,
-        valuation=val,
-        time_cost=ev.time_cost,
-        battery_on_arrival=ev.battery_initial,
+        valuation=max(0, ev.base_valuation - kappa),
+        time_cost=kappa,
+        battery_on_arrival=ev.battery_initial - energy,
         charge_slots_needed=needed,
     )
 
@@ -119,29 +124,19 @@ def _routed_access(
         walk = shortest_route(network, station.location, ev.end_location)
     except NoPath:
         return None
-    energy = route.energy_need(ev.discharge_rate)
-    if ev.battery_initial < energy:  # cannot reach the station at all
-        return None
-    arrival = ev.start_time + route.drive_time
-    departure = min(arrival + ev.park_duration, horizon)
-    if arrival >= horizon or arrival >= departure:
-        return None
-    needed = math.ceil(ev.energy_demand / station.rate)
-    if departure - arrival < needed:
-        return None
     params = network.time_cost
     kappa = (
         params.per_drive_point * route.drive_time
         + round(params.per_walk_km * walk.distance_km)
     )
-    return StationAccess(
-        arrival=arrival,
-        departure=departure,
-        valuation=max(0, ev.base_valuation - kappa),
-        time_cost=kappa,
-        battery_on_arrival=ev.battery_initial - energy,
-        charge_slots_needed=needed,
+    return _access(
+        ev, station, horizon, route.drive_time, route.energy_need(ev.discharge_rate), kappa
     )
+
+
+def _request(ev: EvType, per_station: dict[str, StationAccess]) -> EvRequest:
+    feasible = frozenset(sid for sid, acc in per_station.items() if acc.valuation > 0)
+    return EvRequest(ev=ev, per_station=per_station, feasible_stations=feasible)
 
 
 def build_requests(
@@ -166,13 +161,12 @@ def build_requests(
         per_station: dict[str, StationAccess] = {}
         for st in stations:
             if network is None:
-                access = _flat_access(ev, st, horizon)
+                access = _access(ev, st, horizon, 0, 0, ev.time_cost)
             else:
                 access = _routed_access(network, ev, st, horizon)
             if access is not None:
                 per_station[st.id] = access
-        feasible = frozenset(sid for sid, acc in per_station.items() if acc.valuation > 0)
-        requests.append(EvRequest(ev=ev, per_station=per_station, feasible_stations=feasible))
+        requests.append(_request(ev, per_station))
     return requests
 
 
@@ -190,16 +184,8 @@ def reprice_requests(
         new_base = new_valuations[req.ev.id]
         ev = dataclasses.replace(req.ev, base_valuation=new_base)
         per_station = {
-            sid: StationAccess(
-                arrival=acc.arrival,
-                departure=acc.departure,
-                valuation=max(0, new_base - acc.time_cost),
-                time_cost=acc.time_cost,
-                battery_on_arrival=acc.battery_on_arrival,
-                charge_slots_needed=acc.charge_slots_needed,
-            )
+            sid: dataclasses.replace(acc, valuation=max(0, new_base - acc.time_cost))
             for sid, acc in req.per_station.items()
         }
-        feasible = frozenset(sid for sid, acc in per_station.items() if acc.valuation > 0)
-        out.append(EvRequest(ev=ev, per_station=per_station, feasible_stations=feasible))
+        out.append(_request(ev, per_station))
     return out

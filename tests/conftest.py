@@ -3,7 +3,7 @@ import random
 import pytest
 
 from evmarket import EvType, Instance, Station, TimeGrid, build_requests, solve_bruteforce
-from evmarket.allocator import STATUS_OPTIMAL, SolveResult
+from evmarket.allocator import STATUS_OPTIMAL, STATUS_TIME_LIMITED, SolveResult
 
 
 def flat_instance(stations, evs, imbalance_unit_cost=0, horizon=4):
@@ -127,3 +127,12 @@ def pytest_terminal_summary(terminalreporter):
 def bf_solver(instance, time_limit=None):
     """Brute-force enumeration wrapped in the Solver interface; always optimal."""
     return SolveResult(allocation=solve_bruteforce(instance), status=STATUS_OPTIMAL)
+
+
+def unproven_full_market_solver(n_agents):
+    """Brute-force solver that reports a market of n_agents as time-limited
+    and every smaller market (each VCG counterfactual) as optimal."""
+    def solve(instance, time_limit=None):
+        status = STATUS_TIME_LIMITED if len(instance.requests) == n_agents else STATUS_OPTIMAL
+        return SolveResult(allocation=solve_bruteforce(instance), status=status)
+    return solve

@@ -158,17 +158,44 @@ def test_pins_are_respected(tiny2):
     assert result.allocation.objective == 400
 
 
-def test_contradictory_pins_raise(tiny2):
-    pinned = Allocation(
-        assigned={"a1": "L1", "a2": "L1"},
-        schedule=frozenset({
-            ("a1", "L1", 0), ("a1", "L1", 1), ("a2", "L1", 0), ("a2", "L1", 1),
-        }),
+BAD_PINS = [  # (violation code, pinned assignment, pinned schedule)
+    ("station-capacity", {"a1": "L1", "a2": "L1"},
+     {("a1", "L1", 0), ("a1", "L1", 1), ("a2", "L1", 0), ("a2", "L1", 1)}),
+    ("outside-window", {"a1": "L1"}, {("a1", "L1", 1), ("a1", "L1", 2)}),
+    ("min-charge", {"a1": "L1"}, {("a1", "L1", 0)}),
+    ("battery-capacity", {"a2": "L1"}, {("a2", "L1", 0), ("a2", "L1", 1), ("a2", "L1", 2)}),
+    ("unassigned-charging", {"a1": None}, {("a1", "L1", 0)}),
+    ("unknown-agent", {"zz": "L1"}, {("zz", "L1", 0)}),
+    ("unknown-station", {"a1": "LX"}, {("a1", "LX", 0), ("a1", "LX", 1)}),
+    # reachable, but the time cost eats the whole valuation
+    ("infeasible-station", {"a3": "L1"}, {("a3", "L1", 0)}),
+]
+
+
+@pytest.mark.parametrize("code, assigned, schedule", BAD_PINS, ids=[c[0] for c in BAD_PINS])
+def test_contradictory_pins_raise(code, assigned, schedule):
+    inst = flat_instance(
+        [make_station("L1")],
+        [
+            make_ev("a1", demand=2, valuation=500, park=2),  # window [0, 2)
+            make_ev("a2", demand=2, valuation=400),  # window [0, 4)
+            make_ev("a3", demand=1, valuation=100, time_cost=100),
+        ],
+    )
+    pinned = Allocation(assigned=assigned, schedule=frozenset(schedule), objective=0)
+    assert "L1" in inst.request("a3").per_station
+    with pytest.raises(InfeasiblePin, match=code):
+        build_model(dataclasses.replace(inst, pinned=pinned))
+
+
+def test_validate_reports_unknown_station(tiny2):
+    alloc = Allocation(
+        assigned={"a1": "LX", "a2": None},
+        schedule=frozenset({("a1", "LX", 0), ("a1", "LX", 1)}),
         objective=0,
     )
-    inst = dataclasses.replace(tiny2, pinned=pinned)
-    with pytest.raises(InfeasiblePin):
-        build_model(inst)
+    codes = {v.code for v in validate_allocation(tiny2, alloc)}
+    assert "unknown-station" in codes
 
 
 def test_frozen_before_blocks_past_slots():

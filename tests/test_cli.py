@@ -4,11 +4,12 @@ import sys
 
 import pytest
 
+import evmarket.cli
 import evmarket.pricing
 from evmarket.cli import main
 from evmarket.serialize import dump_instance
 
-from conftest import flat_instance, make_ev, make_station
+from conftest import flat_instance, make_ev, make_station, unproven_full_market_solver
 
 
 @pytest.fixture
@@ -46,6 +47,17 @@ def test_solve_outputs_deterministic(tmp_path, tiny1_file):
         assert main(["solve", tiny1_file, "--out", str(o)]) == 0
     for name in ("allocation.json", "summary.json", "pricing.csv"):
         assert (o1 / name).read_bytes() == (o2 / name).read_bytes()
+
+
+def test_solve_vcg_refuses_unproven_allocation(tmp_path, tiny1_file, monkeypatch):
+    monkeypatch.setattr(evmarket.cli, "default_solver", unproven_full_market_solver(2))
+    out = tmp_path / "out"
+    assert main(["solve", tiny1_file, "--mechanism", "vcg", "--out", str(out)]) == 2
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "feasible_time_limited"
+    assert "pricing_error" in summary
+    assert summary["budget"] is None
+    assert not (out / "pricing.csv").exists()
 
 
 def test_solve_empty_instance(tmp_path):

@@ -4,8 +4,16 @@ import pytest
 
 from evmarket import ClearingSchedule, build_model, run_online, solve_exact
 from evmarket.allocator import validate_allocation
+from evmarket.pricing import CounterfactualNotOptimal
 
-from conftest import bf_solver, flat_instance, make_ev, make_station, random_flat_instance
+from conftest import (
+    bf_solver,
+    flat_instance,
+    make_ev,
+    make_station,
+    random_flat_instance,
+    unproven_full_market_solver,
+)
 
 
 def test_clearing_schedule_validation():
@@ -84,6 +92,12 @@ def test_run_status_flags_unproven_clearing(tiny1):
     unproven = run_online(tiny1, ClearingSchedule((1,)), mechanism="coop", solver=time_limited)
     assert [c.status for c in unproven.clearings] == ["feasible_time_limited"]
     assert unproven.status == "feasible_time_limited"
+
+
+def test_vcg_refuses_unproven_clearing(tiny1):
+    with pytest.raises(CounterfactualNotOptimal):
+        run_online(tiny1, ClearingSchedule((1,)), mechanism="vcg",
+                   solver=unproven_full_market_solver(2))
 
 
 def test_carryover_keeps_agents_eligible():

@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from evmarket import budget, build_model, calibrate_incr, price_coop, price_vcg, solve_exact
+from evmarket import build_model, calibrate_incr, price_coop, price_vcg, solve_exact
 from evmarket.allocator import STATUS_TIME_LIMITED, SolveResult
 from evmarket.pricing import CounterfactualNotOptimal, NoBreakeven, _coop_price
 
@@ -102,7 +102,7 @@ def test_budget_no_agents():
     inst = flat_instance([make_station("L1", dem=(2,))], [], imbalance_unit_cost=100, horizon=1)
     alloc = solve_exact(build_model(inst)).allocation
     out = price_coop(inst, alloc, 0.0)
-    assert budget(inst, out) == -200
+    assert out.budget == -200
 
 
 def test_calibrate_incr():
