@@ -18,8 +18,6 @@ from .model import (
     StationAccess,
     TimeGrid,
     imbalance_cost,
-    utility,
-    valuation,
 )
 from .transport import RoadNetwork, Route, TimeCostParams, build_requests, shortest_route
 from .allocator import (
@@ -69,7 +67,5 @@ __all__ = [
     "shortest_route",
     "solve_bruteforce",
     "solve_exact",
-    "utility",
     "validate_allocation",
-    "valuation",
 ]

@@ -48,7 +48,6 @@ class IpModel:
     instance: Instance
     phi_index: dict[tuple[str, str], int]
     charge_index: dict[tuple[str, str, int], int]
-    m_index: dict[tuple[str, int], int]
     c: np.ndarray  # objective (maximize), integer-valued cents
     A: sparse.csr_matrix  # A x <= b
     b: np.ndarray
@@ -94,118 +93,96 @@ def build_model(instance: Instance) -> IpModel:
 
     phi_index: dict[tuple[str, str], int] = {}
     charge_index: dict[tuple[str, str, int], int] = {}
-    m_index: dict[tuple[str, int], int] = {}
     c: list[float] = []
     lb: list[float] = []
     ub: list[float] = []
 
-    def add_var(coef: Money, lo: float, hi: float) -> int:
-        idx = len(c)
+    def add_var(coef: Money, fixed: Optional[bool] = None, hi: float = 1.0) -> int:
+        """New variable in [0, hi], or fixed to a pinned 0/1 value."""
         c.append(float(coef))
-        lb.append(lo)
-        ub.append(hi)
-        return idx
+        lb.append(0.0 if fixed is None else float(fixed))
+        ub.append(hi if fixed is None else float(fixed))
+        return len(c) - 1
 
-    # binaries first (assignment, then charge): is_binary marks the first n_binary
+    # binaries first (assignment, then charge): is_binary marks the first n_binary.
+    # pairs holds, per request, one (station, access, assignment var, first
+    # schedulable slot, charge vars) entry for each station it may use.
+    pairs: list[list[tuple]] = []
     for req in instance.requests:
         aid = req.ev.id
-        pin_station = pinned_assigned.get(aid)
+        pinned = aid in pinned_assigned
+        own = []
         for st in instance.stations:
             if st.id not in req.feasible_stations:
                 continue
             acc = req.access(st.id)
-            start = acc.arrival if aid in pinned_assigned else max(acc.arrival, instance.frozen_before)
+            start = acc.arrival if pinned else max(acc.arrival, instance.frozen_before)
             if acc.departure - start < acc.charge_slots_needed:
                 continue  # remaining window cannot fit the demand
-            fixed = None
-            if aid in pinned_assigned:
-                fixed = 1.0 if pin_station == st.id else 0.0
-            phi_index[(aid, st.id)] = add_var(
-                acc.valuation,
-                fixed if fixed is not None else 0.0,
-                fixed if fixed is not None else 1.0,
-            )
-    for req in instance.requests:
+            phi = add_var(acc.valuation, pinned_assigned[aid] == st.id if pinned else None)
+            phi_index[(aid, st.id)] = phi
+            own.append((st, acc, phi, start, []))
+        pairs.append(own)
+    cells: dict[tuple[str, int], list[int]] = {}  # (station, t) -> charge vars
+    for req, own in zip(instance.requests, pairs):
         aid = req.ev.id
-        for st in instance.stations:
-            if (aid, st.id) not in phi_index:
-                continue
-            acc = req.access(st.id)
-            start = acc.arrival if aid in pinned_assigned else max(acc.arrival, instance.frozen_before)
+        pinned = aid in pinned_assigned
+        for st, acc, _, start, pair in own:
             for t in range(start, acc.departure):
-                fixed = None
-                if aid in pinned_assigned:
-                    fixed = 1.0 if (aid, st.id, t) in pinned_slots else 0.0
-                charge_index[(aid, st.id, t)] = add_var(
-                    -st.slot_elec_cost,
-                    fixed if fixed is not None else 0.0,
-                    fixed if fixed is not None else 1.0,
-                )
+                i = add_var(-st.slot_elec_cost, (aid, st.id, t) in pinned_slots if pinned else None)
+                charge_index[(aid, st.id, t)] = i
+                pair.append(i)
+                cells.setdefault((st.id, t), []).append(i)
     n_binary = len(c)
-    for st in instance.stations:
-        for t in range(horizon):
-            m_index[(st.id, t)] = add_var(-instance.imbalance_unit_cost, 0.0, np.inf)
 
-    rows: list[tuple[dict[int, float], float]] = []  # (coefs, rhs)
+    data: list[float] = []
+    ri: list[int] = []
+    ci: list[int] = []
+    b: list[float] = []
 
-    for req in instance.requests:
-        aid = req.ev.id
-        phis = {sid: i for (a, sid), i in phi_index.items() if a == aid}
-        if phis:
-            rows.append(({i: 1.0 for i in phis.values()}, 1.0))
-        for sid, pi in phis.items():
-            acc = req.access(sid)
-            st = instance.station(sid)
-            charges = [i for (a, s, t), i in charge_index.items() if a == aid and s == sid]
+    def add_row(coefs: dict[int, float], rhs: float) -> None:
+        """Append the row coefs . x <= rhs."""
+        ri.extend([len(b)] * len(coefs))
+        ci.extend(coefs)
+        data.extend(coefs.values())
+        b.append(rhs)
+
+    for req, own in zip(instance.requests, pairs):
+        if own:
+            add_row({phi: 1.0 for _, _, phi, _, _ in own}, 1.0)
+        for st, acc, phi, _, pair in own:
             # charge at least the demand when assigned
-            coefs = {pi: float(acc.charge_slots_needed)}
-            for i in charges:
-                coefs[i] = -1.0
-            rows.append((coefs, 0.0))
+            add_row({phi: float(acc.charge_slots_needed), **dict.fromkeys(pair, -1.0)}, 0.0)
             # never exceed the battery
-            rows.append(
-                (
-                    {i: float(st.rate) for i in charges},
-                    float(req.ev.battery_capacity - acc.battery_on_arrival),
-                )
+            add_row(
+                dict.fromkeys(pair, float(st.rate)),
+                float(req.ev.battery_capacity - acc.battery_on_arrival),
             )
             # no charging at a station the EV is not assigned to
-            for i in charges:
-                rows.append(({i: 1.0, pi: -1.0}, 0.0))
+            for i in pair:
+                add_row({i: 1.0, phi: -1.0}, 0.0)
     for st in instance.stations:
         for t in range(horizon):
-            cell = [i for (a, s, tt), i in charge_index.items() if s == st.id and tt == t]
+            cell = cells.get((st.id, t), [])
             if cell:
-                rows.append(({i: 1.0 for i in cell}, float(st.slots)))
+                add_row(dict.fromkeys(cell, 1.0), float(st.slots))
             dem = st.expected_demand[t] if t < len(st.expected_demand) else 0
-            mi = m_index[(st.id, t)]
-            pos = {i: 1.0 for i in cell}
-            pos[mi] = -1.0
-            rows.append((pos, float(dem)))
-            neg = {i: -1.0 for i in cell}
-            neg[mi] = -1.0
-            rows.append((neg, float(-dem)))
+            # |load - dem| <= m, one continuous variable per cell
+            m = add_var(-instance.imbalance_unit_cost, hi=np.inf)
+            add_row({**dict.fromkeys(cell, 1.0), m: -1.0}, float(dem))
+            add_row({**dict.fromkeys(cell, -1.0), m: -1.0}, float(-dem))
 
     n = len(c)
-    data, ri, ci = [], [], []
-    b = np.empty(len(rows))
-    for r, (coefs, rhs) in enumerate(rows):
-        for i, v in coefs.items():
-            ri.append(r)
-            ci.append(i)
-            data.append(v)
-        b[r] = rhs
-    A = sparse.csr_matrix((data, (ri, ci)), shape=(len(rows), n))
+    A = sparse.csr_matrix((data, (ri, ci)), shape=(len(b), n))
     is_binary = np.zeros(n, dtype=bool)
     is_binary[:n_binary] = True
     return IpModel(
         instance=instance,
         phi_index=phi_index,
         charge_index=charge_index,
-        m_index=m_index,
         c=np.array(c),
         A=A,
-        b=b,
+        b=np.array(b),
         lb=np.array(lb),
         ub=np.array(ub),
         is_binary=is_binary,
@@ -225,9 +202,7 @@ def evaluate_objective(
             total += req.access(sid).valuation
     for _, sid, _ in schedule:
         total -= instance.station(sid).slot_elec_cost
-    _, imbalance = imbalance_cost(Allocation(assigned, schedule, 0), instance.stations,
-                                  instance.time_grid, instance.imbalance_unit_cost)
-    return total - imbalance
+    return total - imbalance_cost(instance, schedule)
 
 
 def _allocation_from_x(model: IpModel, x: np.ndarray) -> Allocation:

@@ -5,9 +5,9 @@ outputs (instance/allocation/summary JSON, pricing CSV, experiment CSVs) are
 byte-identical for a fixed command line and seed; wall-clock measurements go
 into separate files with "timing" in their name.
 
-Exit codes for solve/online: 0 = proven optimum, 2 = time-limited incumbent
-(payments may be missing because VCG refuses an unproven allocation or
-counterfactual),
+Exit codes for solve/online/exp: 0 = proven optimum, 2 = time-limited
+incumbent (payments may be missing because VCG refuses an unproven allocation
+or counterfactual; exp then writes no report),
 1 = parse error or infeasibility, with a diagnostic naming the offending key
 or constraint.
 """
@@ -199,8 +199,11 @@ def cmd_calibrate(args) -> int:
 def cmd_exp(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     runner = experiments.RUNNERS[args.number]
-    kwargs = {"reps": args.reps, "seed0": args.seed, "time_limit": args.time_limit}
-    paths = runner(args.out, **kwargs)
+    try:
+        paths = runner(args.out, reps=args.reps, seed0=args.seed, time_limit=args.time_limit)
+    except CounterfactualNotOptimal as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_TIME_LIMITED
     for p in paths:
         print(p)
     return EXIT_OK

@@ -166,7 +166,6 @@ class Instance:
     imbalance_unit_cost: Money
     pinned: Optional[Allocation] = None
     frozen_before: int = 0
-    evs: tuple[EvType, ...] = field(default=())
     network: Optional[object] = None  # transport.RoadNetwork when routing is modelled
     _stations_by_id: dict[str, Station] = field(init=False, repr=False, compare=False)
     _requests_by_id: dict[str, EvRequest] = field(init=False, repr=False, compare=False)
@@ -180,8 +179,11 @@ class Instance:
                 raise ValueError(f"request {req.ev.id} references unknown stations {sorted(unknown)}")
         object.__setattr__(self, "_stations_by_id", stations)
         object.__setattr__(self, "_requests_by_id", requests)
-        if not self.evs:
-            object.__setattr__(self, "evs", tuple(r.ev for r in self.requests))
+
+    @property
+    def evs(self) -> tuple[EvType, ...]:
+        """The reported EV types, in request order."""
+        return tuple(r.ev for r in self.requests)
 
     def station(self, station_id: str) -> Station:
         return self._stations_by_id[station_id]
@@ -191,11 +193,7 @@ class Instance:
 
     def without_agent(self, agent_id: str) -> "Instance":
         """Counterfactual instance with one agent's request removed."""
-        return replace(
-            self,
-            requests=tuple(r for r in self.requests if r.ev.id != agent_id),
-            evs=tuple(e for e in self.evs if e.id != agent_id),
-        )
+        return replace(self, requests=tuple(r for r in self.requests if r.ev.id != agent_id))
 
 
 @dataclass(frozen=True)
@@ -228,47 +226,19 @@ class PricingOutcome:
         for aid, sid, _ in allocation.schedule:
             if aid in elec:
                 elec[aid] += instance.station(sid).slot_elec_cost
-        _, total_imbalance = imbalance_cost(
-            allocation, instance.stations, instance.time_grid, instance.imbalance_unit_cost
-        )
-        return cls(payments, utilities, frozenset(charged), elec, total_imbalance)
+        return cls(payments, utilities, frozenset(charged), elec,
+                   imbalance_cost(instance, allocation.schedule))
 
 
-def imbalance_cost(
-    allocation: Allocation,
-    stations: tuple[Station, ...],
-    time_grid: TimeGrid,
-    imbalance_unit_cost: Money,
-) -> tuple[dict[tuple[str, int], Money], Money]:
-    """Penalty for deviating from the contracted demand profile.
-
-    Returns per-(station, time) costs |actual load - expected| * unit cost,
-    and their total over all cells.
-    """
+def imbalance_cost(instance: Instance, schedule: AbstractSet[tuple[str, str, int]]) -> Money:
+    """Penalty for deviating from the contracted demand profile: the sum over
+    every (station, time) cell of |actual load - expected| * unit cost."""
     loads: dict[tuple[str, int], int] = {}
-    for _, sid, t in allocation.schedule:
+    for _, sid, t in schedule:
         loads[(sid, t)] = loads.get((sid, t), 0) + 1
-    per_cell: dict[tuple[str, int], Money] = {}
     total = 0
-    for s in stations:
-        for t in range(time_grid.horizon_len):
+    for s in instance.stations:
+        for t in range(instance.time_grid.horizon_len):
             dem = s.expected_demand[t] if t < len(s.expected_demand) else 0
-            cost = abs(loads.get((s.id, t), 0) - dem) * imbalance_unit_cost
-            per_cell[(s.id, t)] = cost
-            total += cost
-    return per_cell, total
-
-
-def valuation(ev: EvType, station: Station, time_cost: Money, delivered_energy: Energy) -> Money:
-    """All-or-nothing value of a charge: base value minus time cost if the
-    full demand is delivered, zero otherwise.  Clamped at zero: an agent
-    whose travel disutility exceeds its value simply declines the station.
-    """
-    if delivered_energy < ev.energy_demand:
-        return 0
-    return max(0, ev.base_valuation - time_cost)
-
-
-def utility(valuation_value: Money, payment: Money, charged: bool) -> Money:
-    """Agent satisfaction: value minus transfer when charging, else zero."""
-    return valuation_value - payment if charged else 0
+            total += abs(loads.get((s.id, t), 0) - dem) * instance.imbalance_unit_cost
+    return total

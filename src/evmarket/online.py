@@ -116,7 +116,6 @@ def run_online(
             requests=tuple(
                 instance.request(aid) for aid in list(committed_assigned) + eligible
             ),
-            evs=(),
             pinned=pinned,
             frozen_before=t_p,
         )

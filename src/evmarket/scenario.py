@@ -134,7 +134,6 @@ def generate(params: GenParams, seed: int) -> Instance:
         stations=stations,
         requests=requests,
         imbalance_unit_cost=params.imbalance_unit_cost,
-        evs=tuple(evs),
         network=network,
     )
 
@@ -158,10 +157,7 @@ def perturb_reports(
     reported = {
         aid: round(truth[aid] * valuation_multiplier) for aid in liars
     }
-    new_requests = tuple(reprice_requests(instance.requests, reported))
     reported_instance = replace(
-        instance,
-        requests=new_requests,
-        evs=tuple(r.ev for r in new_requests),
+        instance, requests=tuple(reprice_requests(instance.requests, reported))
     )
     return reported_instance, truth

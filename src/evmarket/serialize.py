@@ -155,7 +155,6 @@ def instance_from_dict(doc: dict) -> Instance:
             stations=stations,
             requests=tuple(build_requests(network, evs, stations, grid)),
             imbalance_unit_cost=imbalance,
-            evs=evs,
             network=network,
         )
     except FormatError:

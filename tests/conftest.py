@@ -16,7 +16,6 @@ def flat_instance(stations, evs, imbalance_unit_cost=0, horizon=4):
         stations=stations,
         requests=tuple(build_requests(None, evs, stations, grid)),
         imbalance_unit_cost=imbalance_unit_cost,
-        evs=evs,
     )
 
 

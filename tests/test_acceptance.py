@@ -116,7 +116,7 @@ def _misreported(instance, aid, kind):
         raise ValueError(kind)
     evs = tuple(new if e.id == aid else e for e in instance.evs)
     reqs = tuple(build_requests(None, evs, instance.stations, instance.time_grid))
-    return dataclasses.replace(instance, evs=evs, requests=reqs)
+    return dataclasses.replace(instance, requests=reqs)
 
 
 def _ic_instance(seed):

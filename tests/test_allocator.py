@@ -1,10 +1,13 @@
 import dataclasses
+import hashlib
 
+import numpy as np
 import pytest
 
 import evmarket.allocator
-from evmarket import Allocation, build_model, solve_bruteforce, solve_exact, validate_allocation
+from evmarket import Allocation, build_model, generate, solve_bruteforce, solve_exact, validate_allocation
 from evmarket.allocator import InfeasiblePin, evaluate_objective
+from evmarket.experiments import DESK
 
 from conftest import flat_instance, make_ev, make_station, random_flat_instance
 
@@ -45,7 +48,7 @@ def test_model_shape():
     m = build_model(inst)
     assert len(m.phi_index) == 4
     assert len(m.charge_index) == 16
-    assert len(m.m_index) == 8
+    assert int((~m.is_binary).sum()) == 8  # one imbalance variable per cell
     assert m.n_vars == 28
     # 2 single-station, 4 min-charge, 4 battery-capacity, 16 assignment-link,
     # 8 station-capacity and 8 + 8 imbalance rows
@@ -212,3 +215,69 @@ def test_frozen_before_blocks_past_slots():
     frozen2 = dataclasses.replace(inst, frozen_before=2)
     result2 = solve_exact(build_model(frozen2))
     assert {t for _, _, t in result2.allocation.schedule} == {2, 3}
+
+
+def _model_digests(model):
+    """sha256 of every array build_model emits and of both index key orders."""
+    arrays = {
+        "c": model.c, "b": model.b, "lb": model.lb, "ub": model.ub,
+        "is_binary": model.is_binary, "indptr": model.A.indptr,
+        "indices": model.A.indices, "data": model.A.data,
+    }
+    digests = {k: hashlib.sha256(np.ascontiguousarray(v).tobytes()).hexdigest()
+               for k, v in arrays.items()}
+    for name in ("phi_index", "charge_index"):
+        keys = repr(list(getattr(model, name))).encode()
+        digests[name] = hashlib.sha256(keys).hexdigest()
+    return digests
+
+
+# five winners of the desk-30 seed-1000 market, as an earlier clearing would commit them
+DESK30_PINS = Allocation(
+    assigned={"a1": "L2", "a10": "L1", "a11": "L1", "a12": "L4", "a13": "L1"},
+    schedule=frozenset({
+        ("a1", "L2", 16), ("a1", "L2", 19), ("a1", "L2", 21), ("a10", "L1", 11),
+        ("a10", "L1", 14), ("a11", "L1", 10), ("a12", "L4", 10), ("a12", "L4", 13),
+        ("a13", "L1", 15),
+    }),
+    objective=0,
+)
+
+# Digests of the two models as HiGHS has always been given them; a change to
+# variable order, row order or any coefficient changes at least one.
+GOLDEN_MODELS = {
+    "desk30": {
+        "c": "f0fb42b8d3a0508affd1634d6750729d4575159a25d3f1f4e1dc6583e9173c4c",
+        "b": "62571f23c60660b4061320f091526c812772386fce12a2c8f17e6022126884ab",
+        "lb": "d7ceb32576430e2b660f2c271c3c988f6b6db1b9f375dbf681847ef0b0d55455",
+        "ub": "bfb5b03d6adf9d14be2a1b62ea233d8e1411a11329d74cba1805bff3e5e4c1b7",
+        "is_binary": "b155d274364e6d0cc74d6fed8f983022b4952a80af64d2fa8a1e6baf5cfae545",
+        "indptr": "4fe30af049a17b9c3b924cc3c9ae87a487ba3871c2e4c90ffa898cad402c0e45",
+        "indices": "631d47c4a399c56954dde957025a65ce06f3c2c8c34442b8cf68cd887c9c636f",
+        "data": "0a89d163c16b6653eda645f058710d81538dfc00597c7e3b7de0c87bb0a4f281",
+        "phi_index": "652902c43a2c1c2c7a1f5e441e65ffc997085aa68ece465e2f7e1a45f4f750ce",
+        "charge_index": "84f8d3381394ad39bc278638fb40da48500afd5d05e303b1f8e6c1e3070c4413",
+    },
+    "desk30-pinned": {
+        "c": "3b531a96d35d0c4943714f961d3eebcaac85e2ef0951f46cb97732c2ffb5d7ba",
+        "b": "1342e298dc5f650e49fd297fd7107d674a439c262e57ca732b1716eb9e54c2db",
+        "lb": "ee7a54e404bc6b1b8d9585dffbb884b41e75b5f2e6104cb6800af0ea52b99128",
+        "ub": "7a0a53cfbee16ad71b76366c65510dcd7b25739c1be8cc90e93a2f94f70ea8af",
+        "is_binary": "509bea49d35230cf232fd982deb8d6656fbcb9d3cb1d5bd9d15fba7c369461af",
+        "indptr": "f88a935cb52b369f8c1ece5f5cdf2388d50c6b55f7bea0ff57e4bce5995940a7",
+        "indices": "e4f4a4bbda05f389e8385be518558d5853484ce0f7201fbe440bb7728fabab4a",
+        "data": "8fb01bc1ecfb56097cb1677b0c2a6036c8d14babad35ca04f255211c63228d12",
+        "phi_index": "ca1fde7d6a5d31af9dac736e0773d68739a202fbf20e97abd792fbe751e1fa9c",
+        "charge_index": "8d0180eb8a5c1f7b4ef03ae39099a61d33253d7d3db5eeb7f3be8e1988374702",
+    },
+}
+
+
+@pytest.mark.parametrize("case", ["desk30", "desk30-pinned"])
+def test_model_matches_golden_digests(case):
+    # variable order, row order and the entries within each row are part of
+    # the model HiGHS sees; any change to them must be deliberate
+    inst = generate(DESK, 1000)
+    if case == "desk30-pinned":
+        inst = dataclasses.replace(inst, pinned=DESK30_PINS, frozen_before=6)
+    assert _model_digests(build_model(inst)) == GOLDEN_MODELS[case]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -5,7 +6,9 @@ import sys
 import pytest
 
 import evmarket.cli
+import evmarket.experiments
 import evmarket.pricing
+from evmarket.allocator import STATUS_TIME_LIMITED
 from evmarket.cli import main
 from evmarket.serialize import dump_instance
 
@@ -137,6 +140,19 @@ def test_exp_command_writes_reports(tmp_path):
     runs = (out / "exp4_liars_runs.csv").read_text().splitlines()
     assert runs[0].startswith("# schema=")
     assert len(runs) == 2 + 2 * 2  # header rows + reps x mechanisms
+
+
+def test_exp_exits_2_on_unproven_vcg_solve(tmp_path, monkeypatch, capsys):
+    real_solver = evmarket.experiments.default_solver
+
+    def time_limited(instance, time_limit=None):
+        return dataclasses.replace(real_solver(instance), status=STATUS_TIME_LIMITED)
+
+    monkeypatch.setattr(evmarket.experiments, "default_solver", time_limited)
+    out = tmp_path / "exp"
+    assert main(["exp", "3", "--reps", "1", "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert list(out.glob("*.csv")) == []
 
 
 def test_console_entrypoint_runs():

@@ -1,9 +1,9 @@
 import pytest
 
-from evmarket import Allocation, EvType, MONEY_SCALE, Station, TimeGrid, imbalance_cost, utility, valuation
+from evmarket import EvType, MONEY_SCALE, Station, imbalance_cost
 from evmarket.model import money_from_float, money_to_float
 
-from conftest import make_ev, make_station
+from conftest import flat_instance, make_ev, make_station
 
 
 def test_money_roundtrip():
@@ -14,46 +14,25 @@ def test_money_roundtrip():
 
 
 def test_imbalance_single_cell():
-    st = make_station("L1", dem=(2,))
-    alloc = Allocation(assigned={"a1": "L1"}, schedule=frozenset({("a1", "L1", 0)}), objective=0)
-    per_cell, total = imbalance_cost(alloc, (st,), TimeGrid(1), 100)
-    assert per_cell[("L1", 0)] == 100  # |1 - 2| * 1.00
-    assert total == 100
+    inst = flat_instance([make_station("L1", dem=(2,))], [], imbalance_unit_cost=100, horizon=1)
+    assert imbalance_cost(inst, frozenset({("a1", "L1", 0)})) == 100  # |1 - 2| * 1.00
 
 
 def test_imbalance_empty_schedule():
-    st = make_station("L1", dem=(2, 2))
-    alloc = Allocation(assigned={}, schedule=frozenset(), objective=0)
-    _, total = imbalance_cost(alloc, (st,), TimeGrid(2), 50)
-    assert total == 200  # (2+2) * 0.50
+    inst = flat_instance([make_station("L1", dem=(2, 2))], [], imbalance_unit_cost=50, horizon=2)
+    assert imbalance_cost(inst, frozenset()) == 200  # (2+2) * 0.50
 
 
 def test_imbalance_zero_cost():
-    st = make_station("L1", dem=(2, 2))
-    alloc = Allocation(assigned={}, schedule=frozenset(), objective=0)
-    _, total = imbalance_cost(alloc, (st,), TimeGrid(2), 0)
-    assert total == 0
-
-
-def test_valuation_is_all_or_nothing():
-    ev = make_ev("a1", demand=2, valuation=500)
-    st = make_station("L1")
-    assert valuation(ev, st, 0, 0) == 0
-    assert valuation(ev, st, 0, 1) == 0
-    assert valuation(ev, st, 0, 2) == 500
-    assert valuation(ev, st, 0, 3) == 500  # single jump at the demand
+    inst = flat_instance([make_station("L1", dem=(2, 2))], [], imbalance_unit_cost=0, horizon=2)
+    assert imbalance_cost(inst, frozenset()) == 0
 
 
 def test_valuation_clamps_at_zero():
-    ev = make_ev("a1", demand=1, valuation=100)
-    st = make_station("L1")
-    assert valuation(ev, st, 250, 1) == 0
-
-
-def test_utility():
-    assert utility(500, 420, charged=True) == 80
-    assert utility(500, 420, charged=False) == 0
-    assert utility(500, 400, charged=True) == 100
+    # a time cost above the charging value leaves a valuation of 0, not -150
+    ev = make_ev("a1", demand=1, valuation=100, time_cost=250)
+    inst = flat_instance([make_station("L1")], [ev])
+    assert inst.requests[0].access("L1").valuation == 0
 
 
 def test_station_validation():
