@@ -19,7 +19,7 @@ from .model import (
     TimeGrid,
     imbalance_cost,
 )
-from .transport import RoadNetwork, Route, TimeCostParams, build_requests, shortest_route
+from .transport import RoadNetwork, TimeCostParams, build_requests
 from .allocator import (
     STATUS_OPTIMAL,
     STATUS_TIME_LIMITED,
@@ -46,7 +46,6 @@ __all__ = [
     "OnlineResult",
     "PricingOutcome",
     "RoadNetwork",
-    "Route",
     "SolveResult",
     "Station",
     "StationAccess",
@@ -64,7 +63,6 @@ __all__ = [
     "price_coop",
     "price_vcg",
     "run_online",
-    "shortest_route",
     "solve_bruteforce",
     "solve_exact",
     "validate_allocation",

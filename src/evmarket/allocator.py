@@ -116,9 +116,9 @@ def build_model(instance: Instance) -> IpModel:
             if st.id not in req.feasible_stations:
                 continue
             acc = req.access(st.id)
-            start = acc.arrival if pinned else max(acc.arrival, instance.frozen_before)
-            if acc.departure - start < acc.charge_slots_needed:
-                continue  # remaining window cannot fit the demand
+            start = acc.first_slot(acc.arrival if pinned else instance.frozen_before)
+            if start is None:
+                continue
             phi = add_var(acc.valuation, pinned_assigned[aid] == st.id if pinned else None)
             phi_index[(aid, st.id)] = phi
             own.append((st, acc, phi, start, []))

@@ -184,8 +184,9 @@ def cmd_online(args) -> int:
 
 def cmd_calibrate(args) -> int:
     family = [generate(_gen_params(args), args.seed + k) for k in range(args.n_instances)]
+    solver = functools.partial(default_solver, time_limit=args.time_limit)
     try:
-        incr = calibrate_incr(family, step=args.step)
+        incr = calibrate_incr(family, step=args.step, solver=solver)
     except NoBreakeven as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

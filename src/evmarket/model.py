@@ -107,6 +107,12 @@ class StationAccess:
     battery_on_arrival: Energy
     charge_slots_needed: int  # ceil(energy_demand / station rate)
 
+    def first_slot(self, not_before: int) -> Optional[int]:
+        """First slot open to charging when nothing may start before
+        not_before, or None when the rest of the window cannot fit the demand."""
+        start = max(self.arrival, not_before)
+        return start if self.departure - start >= self.charge_slots_needed else None
+
 
 @dataclass(frozen=True)
 class EvRequest:

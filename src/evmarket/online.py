@@ -54,11 +54,9 @@ class OnlineResult:
 
 
 def _remaining_window_fits(req, frozen_before: int) -> bool:
-    for sid in req.feasible_stations:
-        acc = req.access(sid)
-        if acc.departure - max(acc.arrival, frozen_before) >= acc.charge_slots_needed:
-            return True
-    return False
+    return any(
+        req.access(sid).first_slot(frozen_before) is not None for sid in req.feasible_stations
+    )
 
 
 def run_online(

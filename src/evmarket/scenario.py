@@ -15,8 +15,8 @@ import random
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .model import EvType, Instance, Money, Station, TimeGrid
-from .transport import RoadNetwork, TimeCostParams, build_requests, reprice_requests
+from .model import EvRequest, EvType, Instance, Money, Station, TimeGrid
+from .transport import RoadNetwork, TimeCostParams, reprice_requests, request_builder
 
 
 class ResampleLimit(Exception):
@@ -95,7 +95,8 @@ def generate(params: GenParams, seed: int) -> Instance:
     reach_energy = math.ceil(len(all_nodes) / 2) if network is not None else 0
     arr_high = max(0, round(params.arrival_frac * params.horizon))
 
-    evs: list[EvType] = []
+    build = request_builder(network, stations, grid)
+    requests: list[EvRequest] = []
     for k in range(params.n_evs):
         for attempt in range(params.resample_limit + 1):
             start_time = rng.randint(0, min(arr_high, params.horizon - 1))
@@ -119,20 +120,19 @@ def generate(params: GenParams, seed: int) -> Instance:
                 base_valuation=per_unit * demand,
                 time_cost=0,
             )
-            built = build_requests(network, [ev], stations, grid)[0]
-            if built.feasible_stations:
-                evs.append(ev)
+            request = build(ev)
+            if request.feasible_stations:
+                requests.append(request)
                 break
         else:
             raise ResampleLimit(
                 f"could not draw a feasible EV after {params.resample_limit} tries"
             )
 
-    requests = tuple(build_requests(network, evs, stations, grid))
     return Instance(
         time_grid=grid,
         stations=stations,
-        requests=requests,
+        requests=tuple(requests),
         imbalance_unit_cost=params.imbalance_unit_cost,
         network=network,
     )

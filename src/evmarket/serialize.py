@@ -48,6 +48,12 @@ def _require_unique_ids(items, section: str) -> None:
         seen.add(item.id)
 
 
+def _require_node(network: RoadNetwork, node: int, key: str) -> None:
+    # a station or EV off the network would be silently unreachable
+    if node not in network.nodes:
+        raise FormatError(key, f"node {node} is not in network.nodes")
+
+
 def instance_to_dict(instance: Instance) -> dict:
     doc = {
         "format_version": FORMAT_VERSION,
@@ -150,6 +156,18 @@ def instance_from_dict(doc: dict) -> Instance:
                     per_walk_km=int(nd.get("per_walk_km", 0)),
                 ),
             )
+            if not network.avg_speed > 0:
+                raise FormatError("network.avg_speed", "must be > 0")
+            for i, (a, b, _) in enumerate(network.edges):
+                _require_node(network, a, f"network.edges[{i}].a")
+                _require_node(network, b, f"network.edges[{i}].b")
+            for i, s in enumerate(stations):
+                _require_node(network, s.location, f"stations[{i}].location")
+            for i, e in enumerate(evs):
+                _require_node(network, e.start_location, f"evs[{i}].start_location")
+                _require_node(network, e.end_location, f"evs[{i}].end_location")
+                if not e.discharge_rate >= 0:
+                    raise FormatError(f"evs[{i}].discharge_rate", "must be >= 0")
         return Instance(
             time_grid=grid,
             stations=stations,

@@ -1,4 +1,4 @@
-"""Road network, shortest routes, and derivation of per-station EV requests."""
+"""Road network, shortest distances, and derivation of per-station EV requests."""
 
 from __future__ import annotations
 
@@ -6,13 +6,9 @@ import dataclasses
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .model import EvRequest, EvType, Money, Station, StationAccess, TimeGrid
-
-
-class NoPath(Exception):
-    """Destination unreachable from the origin."""
 
 
 @dataclass(frozen=True)
@@ -39,57 +35,27 @@ class RoadNetwork:
             if km <= 0:
                 raise ValueError(f"edge ({a},{b}) has non-positive length")
 
-    def adjacency(self) -> dict[int, list[tuple[int, float]]]:
-        adj: dict[int, list[tuple[int, float]]] = {n: [] for n in self.nodes}
-        for a, b, km in self.edges:
-            adj[a].append((b, km))
-            adj[b].append((a, km))
-        for neighbours in adj.values():
-            neighbours.sort()
-        return adj
 
-
-@dataclass(frozen=True)
-class Route:
-    from_node: int
-    to_node: int
-    distance_km: float
-    drive_time: int  # time points, rounded up (conservative arrival)
-    path: tuple[int, ...]
-
-    def energy_need(self, discharge_rate: float) -> int:
-        """Energy units consumed driving this route, rounded up."""
-        return math.ceil(self.distance_km * discharge_rate - 1e-9)
-
-
-def shortest_route(network: RoadNetwork, from_node: int, to_node: int) -> Route:
-    """Dijkstra shortest path; equal-distance ties broken by the
-    lexicographically smallest node-id path so results are reproducible."""
-    if from_node not in network.nodes or to_node not in network.nodes:
-        raise NoPath(f"unknown node in route {from_node} -> {to_node}")
-    if from_node == to_node:
-        return Route(from_node, to_node, 0.0, 0, (from_node,))
-    adj = network.adjacency()
-    # heap entries carry the path so that ties resolve lexicographically
-    heap: list[tuple[float, tuple[int, ...]]] = [(0.0, (from_node,))]
-    best: dict[int, tuple[float, tuple[int, ...]]] = {}
-    while heap:
-        dist, path = heapq.heappop(heap)
-        node = path[-1]
-        if node in best and (best[node][0] < dist - 1e-9 or best[node][1] != path):
-            continue
-        if node == to_node:
-            drive_time = math.ceil(dist / network.avg_speed - 1e-9)
-            return Route(from_node, to_node, dist, drive_time, path)
-        for nxt, km in adj[node]:
-            if nxt in path:
+def distances_km(network: RoadNetwork, sources: Iterable[int]) -> dict[int, dict[int, float]]:
+    """Dijkstra from each source over one adjacency built for the call:
+    source -> {node: shortest distance in km} for every node it reaches."""
+    adjacency: dict[int, list[tuple[int, float]]] = {n: [] for n in network.nodes}
+    for a, b, km in network.edges:
+        adjacency[a].append((b, km))
+        adjacency[b].append((a, km))
+    tables = {}
+    for source in sources:
+        dist = tables[source] = {source: 0.0}
+        heap = [(0.0, source)]
+        while heap:
+            d, node = heapq.heappop(heap)
+            if d > dist[node]:
                 continue
-            cand = (dist + km, path + (nxt,))
-            prev = best.get(nxt)
-            if prev is None or cand[0] < prev[0] - 1e-9 or (abs(cand[0] - prev[0]) <= 1e-9 and cand[1] < prev[1]):
-                best[nxt] = cand
-                heapq.heappush(heap, cand)
-    raise NoPath(f"no route from {from_node} to {to_node}")
+            for nxt, km in adjacency[node]:
+                if d + km < dist.get(nxt, math.inf):
+                    dist[nxt] = d + km
+                    heapq.heappush(heap, (d + km, nxt))
+    return tables
 
 
 def _access(
@@ -117,26 +83,57 @@ def _access(
 
 
 def _routed_access(
-    network: RoadNetwork, ev: EvType, station: Station, horizon: int
+    network: RoadNetwork, ev: EvType, station: Station, horizon: int, from_station: dict[int, float]
 ) -> Optional[StationAccess]:
-    try:
-        route = shortest_route(network, ev.start_location, station.location)
-        walk = shortest_route(network, station.location, ev.end_location)
-    except NoPath:
+    """Access through the road network; from_station holds the distances
+    from the station's node, which on an undirected network are both the
+    drive there from the start and the walk on to the destination."""
+    drive_km = from_station.get(ev.start_location)
+    walk_km = from_station.get(ev.end_location)
+    if drive_km is None or walk_km is None:
         return None
+    drive_time = math.ceil(drive_km / network.avg_speed - 1e-9)  # conservative arrival
+    energy = math.ceil(drive_km * ev.discharge_rate - 1e-9)
     params = network.time_cost
-    kappa = (
-        params.per_drive_point * route.drive_time
-        + round(params.per_walk_km * walk.distance_km)
-    )
-    return _access(
-        ev, station, horizon, route.drive_time, route.energy_need(ev.discharge_rate), kappa
-    )
+    kappa = params.per_drive_point * drive_time + round(params.per_walk_km * walk_km)
+    return _access(ev, station, horizon, drive_time, energy, kappa)
 
 
 def _request(ev: EvType, per_station: dict[str, StationAccess]) -> EvRequest:
     feasible = frozenset(sid for sid, acc in per_station.items() if acc.valuation > 0)
     return EvRequest(ev=ev, per_station=per_station, feasible_stations=feasible)
+
+
+def request_builder(
+    network: Optional[RoadNetwork], stations: Sequence[Station], time_grid: TimeGrid
+) -> Callable[[EvType], EvRequest]:
+    """Return a function that turns one EV report into its per-station request.
+
+    A station is listed when it is reachable with the initial battery and the
+    parking window (clipped to the horizon) fits the required charging slots;
+    it is *feasible* when additionally the post-clamp valuation is positive.
+    An EV with no feasible station is kept but can never be allocated.
+
+    With network=None ("flat mode") all drive distances are zero and the time
+    cost comes from each EV's explicit time_cost field.  Otherwise Dijkstra
+    runs once per station location, which must be a network node.
+    """
+    horizon = time_grid.horizon_len
+    if network is not None:
+        tables = distances_km(network, {st.location for st in stations})
+
+    def build(ev: EvType) -> EvRequest:
+        per_station: dict[str, StationAccess] = {}
+        for st in stations:
+            if network is None:
+                access = _access(ev, st, horizon, 0, 0, ev.time_cost)
+            else:
+                access = _routed_access(network, ev, st, horizon, tables[st.location])
+            if access is not None:
+                per_station[st.id] = access
+        return _request(ev, per_station)
+
+    return build
 
 
 def build_requests(
@@ -145,29 +142,9 @@ def build_requests(
     stations: Sequence[Station],
     time_grid: TimeGrid,
 ) -> list[EvRequest]:
-    """Turn raw EV reports into per-station requests.
-
-    A station is listed when it is reachable with the initial battery and the
-    parking window (clipped to the horizon) fits the required charging slots;
-    it is *feasible* when additionally the post-clamp valuation is positive.
-    An EV with no feasible station is kept but can never be allocated.
-
-    With network=None ("flat mode") all drive distances are zero and the time
-    cost comes from each EV's explicit time_cost field.
-    """
-    horizon = time_grid.horizon_len
-    requests = []
-    for ev in evs:
-        per_station: dict[str, StationAccess] = {}
-        for st in stations:
-            if network is None:
-                access = _access(ev, st, horizon, 0, 0, ev.time_cost)
-            else:
-                access = _routed_access(network, ev, st, horizon)
-            if access is not None:
-                per_station[st.id] = access
-        requests.append(_request(ev, per_station))
-    return requests
+    """Turn raw EV reports into per-station requests (see request_builder)."""
+    build = request_builder(network, stations, time_grid)
+    return [build(ev) for ev in evs]
 
 
 def reprice_requests(

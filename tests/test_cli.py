@@ -118,6 +118,10 @@ def test_time_limit_reaches_every_solve(tmp_path, tiny1_file, monkeypatch):
     assert main(["online", tiny1_file, "--mechanism", "vcg", "--time-limit", "7",
                  "--clearing-points", "1", "--out", str(tmp_path / "online")]) == 0
     assert len(limits) == 6
+    assert main(["calibrate-incr", "--n-evs", "4", "--n-stations", "2", "--horizon", "10",
+                 "--elec-cost", "20", "--imbalance-cost", "1", "--max-demand", "2",
+                 "--n-instances", "2", "--time-limit", "7"]) == 0
+    assert len(limits) == 8  # one allocation solve per instance of the family
     assert set(limits) == {7.0}
 
 

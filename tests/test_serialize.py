@@ -95,3 +95,47 @@ def test_allocation_and_pricing_outputs(tiny1):
     lines = buf.getvalue().strip().splitlines()
     assert lines[0] == "agent_id,station,payment,valuation,utility,charged"
     assert len(lines) == 3
+
+
+def _routed_doc():
+    return instance_to_dict(generate(GenParams(n_evs=4, n_stations=2, horizon=10), seed=3))
+
+
+@pytest.mark.parametrize("speed", [0.0, -1.0])
+def test_nonpositive_speed_named(speed):
+    doc = _routed_doc()
+    doc["network"]["avg_speed"] = speed
+    with pytest.raises(FormatError) as exc:
+        instance_from_dict(doc)
+    assert exc.value.key == "network.avg_speed"
+
+
+def test_edge_to_unknown_node_named():
+    doc = _routed_doc()
+    doc["network"]["edges"][1]["b"] = 99
+    with pytest.raises(FormatError) as exc:
+        instance_from_dict(doc)
+    assert exc.value.key == "network.edges[1].b"
+
+
+def test_negative_discharge_rate_named():
+    doc = _routed_doc()
+    doc["evs"][2]["discharge_rate"] = -0.5
+    with pytest.raises(FormatError) as exc:
+        instance_from_dict(doc)
+    assert exc.value.key == "evs[2].discharge_rate"
+
+
+@pytest.mark.parametrize(
+    "section, index, key",
+    [("stations", 1, "location"), ("evs", 0, "start_location"), ("evs", 3, "end_location")],
+)
+def test_location_off_network_named(section, index, key):
+    doc = _routed_doc()
+    doc[section][index][key] = 99
+    with pytest.raises(FormatError) as exc:
+        instance_from_dict(doc)
+    assert exc.value.key == f"{section}[{index}].{key}"
+    # flat instances have no network and ignore locations
+    del doc["network"]
+    instance_from_dict(doc)

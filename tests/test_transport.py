@@ -1,7 +1,13 @@
+import dataclasses
+import hashlib
+
 import pytest
 
-from evmarket import RoadNetwork, TimeCostParams, TimeGrid, build_requests, shortest_route
-from evmarket.transport import NoPath
+import evmarket.transport
+from evmarket import GenParams, RoadNetwork, TimeCostParams, TimeGrid, build_requests, generate
+from evmarket.experiments import DESK, DESK_CONTESTED
+from evmarket.serialize import instance_from_dict, instance_to_dict
+from evmarket.transport import distances_km
 
 from conftest import make_ev, make_station
 
@@ -19,19 +25,11 @@ def line_network(**kw):
 
 
 def test_shortest_route_simple():
-    net = line_network()
-    r = shortest_route(net, 0, 2)
-    assert r.distance_km == 2.0
-    assert r.path == (0, 1, 2)
-    assert r.drive_time == 2
+    assert distances_km(line_network(), [0]) == {0: {0: 0.0, 1: 1.0, 2: 2.0}}
 
 
 def test_shortest_route_same_node():
-    net = line_network()
-    r = shortest_route(net, 1, 1)
-    assert r.distance_km == 0.0
-    assert r.drive_time == 0
-    assert r.path == (1,)
+    assert distances_km(line_network(), [1])[1][1] == 0.0
 
 
 def test_shortest_route_prefers_shorter():
@@ -40,17 +38,16 @@ def test_shortest_route_prefers_shorter():
         edges=((0, 1, 1.0), (1, 2, 1.0), (0, 2, 5.0)),
         charging_nodes=frozenset(),
     )
-    assert shortest_route(net, 0, 2).path == (0, 1, 2)
+    assert distances_km(net, [0])[0][2] == 2.0
 
 
-def test_shortest_route_tie_breaks_lexicographically():
-    # two equal-length routes 0-1-3 and 0-2-3; the smaller node ids win
-    net = RoadNetwork(
-        nodes=frozenset({0, 1, 2, 3}),
-        edges=((0, 1, 1.0), (1, 3, 1.0), (0, 2, 1.0), (2, 3, 1.0)),
-        charging_nodes=frozenset(),
-    )
-    assert shortest_route(net, 0, 3).path == (0, 1, 3)
+def test_shortest_route_tie_gives_same_distance():
+    # two equal-length routes 0-1-3 and 0-2-3, listed in either order
+    edges = ((0, 1, 1.0), (1, 3, 1.0), (0, 2, 1.0), (2, 3, 1.0))
+    for order in (edges, edges[::-1]):
+        net = RoadNetwork(nodes=frozenset({0, 1, 2, 3}), edges=order, charging_nodes=frozenset())
+        tables = distances_km(net, [0, 3])
+        assert tables[0][3] == tables[3][0] == 2.0
 
 
 def test_no_path():
@@ -59,23 +56,33 @@ def test_no_path():
         edges=((0, 1, 1.0),),
         charging_nodes=frozenset(),
     )
-    with pytest.raises(NoPath):
-        shortest_route(net, 0, 2)
-    with pytest.raises(NoPath):
-        shortest_route(net, 0, 9)
+    assert distances_km(net, [0]) == {0: {0: 0.0, 1: 1.0}}
+    # a station on a node the EV cannot reach is not listed
+    st = dataclasses.replace(make_station("L1"), location=2)
+    ev = make_ev("a1", demand=1, valuation=300, capacity=5, initial=4)
+    assert build_requests(net, [ev], [st], TimeGrid(8))[0].per_station == {}
+
+
+def _access_at_node_2(net, discharge_rate=1.0):
+    st = dataclasses.replace(make_station("L1"), location=2)
+    ev = dataclasses.replace(
+        make_ev("a1", demand=1, valuation=300, park=4, capacity=5, initial=4),
+        discharge_rate=discharge_rate,
+    )
+    return build_requests(net, [ev], [st], TimeGrid(8))[0].access("L1")
 
 
 def test_route_energy_need_rounds_up():
-    net = line_network()
-    r = shortest_route(net, 0, 2)  # 2 km
-    assert r.energy_need(1.0) == 2
-    assert r.energy_need(0.6) == 2  # 1.2 units -> 2
-    assert r.energy_need(0.5) == 1
+    net = line_network()  # node 0 to node 2 is 2 km
+    assert _access_at_node_2(net, 1.0).battery_on_arrival == 4 - 2
+    assert _access_at_node_2(net, 0.6).battery_on_arrival == 4 - 2  # 1.2 units -> 2
+    assert _access_at_node_2(net, 0.5).battery_on_arrival == 4 - 1
 
 
 def test_speed_affects_drive_time():
-    net = line_network(avg_speed=2.0)
-    assert shortest_route(net, 0, 2).drive_time == 1
+    assert _access_at_node_2(line_network()).arrival == 2
+    assert _access_at_node_2(line_network(avg_speed=2.0)).arrival == 1
+    assert _access_at_node_2(line_network(avg_speed=0.8)).arrival == 3  # 2.5 points -> 3
 
 
 def test_flat_requests_windows_and_clipping():
@@ -139,3 +146,48 @@ def test_reprice_requests():
     assert out[0].ev.base_valuation == 0
     assert out[0].feasible_stations == frozenset()
     assert out[1] is reqs[1]
+
+
+def _request_digest(instance):
+    rows = [
+        (r.ev.id, list(r.per_station.items()), sorted(r.feasible_stations))
+        for r in instance.requests
+    ]
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+# Digests of every request's per-station access and feasible set, recorded
+# when each (EV, station) pair was routed by its own path-carrying search.
+GOLDEN_REQUESTS = {
+    "desk30": (DESK, 1000, "8fe4d0108c65e686fe76c58aabb9ab43b3a6ef81411cfcd93fdc9541184819a4"),
+    "contested": (DESK_CONTESTED, 0, "69aa3a04729b1e2b3b8fb7b7ef4b79b34f078b2b98900523886896d23a17173e"),
+    "ring10-walk": (
+        GenParams(n_evs=40, n_stations=10, horizon=30, per_drive_point=7, per_walk_km=3),
+        5,
+        "42ecabfbfa8f469b1057ffe00ff470c24382e7bd71248076894f44aa71fc75f0",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_REQUESTS))
+def test_requests_match_golden_digests(case):
+    params, seed, digest = GOLDEN_REQUESTS[case]
+    inst = generate(params, seed)
+    assert _request_digest(inst) == digest
+    assert _request_digest(instance_from_dict(instance_to_dict(inst))) == digest
+
+
+def test_routing_runs_once_per_station_location(monkeypatch):
+    calls = []
+    real = evmarket.transport.distances_km
+
+    def recording(network, sources):
+        calls.append(sorted(sources))
+        return real(network, calls[-1])
+
+    monkeypatch.setattr(evmarket.transport, "distances_km", recording)
+    inst = generate(DESK, 1000)
+    locations = sorted(st.location for st in inst.stations)
+    assert calls == [locations]  # one table per station, shared by all EVs and resamples
+    instance_from_dict(instance_to_dict(inst))
+    assert calls == [locations, locations]
