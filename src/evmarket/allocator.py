@@ -13,7 +13,9 @@ solve_exact hands the model to HiGHS branch-and-cut (scipy's milp) with a
 zero MIP gap.  The solution is re-evaluated in exact integer arithmetic
 (evaluate_objective, whose imbalance term is model.imbalance_cost) so that
 reported optima are bit-reproducible and comparable across counterfactual
-solves.
+solves.  Given a known feasible allocation (the incumbent), solve_exact
+first tries to prove it, or the LP relaxation's point, optimal with an
+exact integer dual bound and runs branch-and-cut only when that fails.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from .model import Allocation, Instance, Money, imbalance_cost
 
@@ -32,6 +34,7 @@ STATUS_OPTIMAL = "optimal"
 STATUS_TIME_LIMITED = "feasible_time_limited"
 
 DEFAULT_TIME_LIMIT = 300.0  # seconds per exact solve
+DUAL_GRID = 2**20  # LP duals are rounded down to multiples of 1/DUAL_GRID
 
 
 class InfeasiblePin(Exception):
@@ -73,6 +76,7 @@ class SolveResult:
     status: str
     nodes: int = 0
     runtime_s: float = 0.0
+    proof: str = "milp"  # the rung that ended the solve: "milp", "lp-bound" or "lp-integral"
 
 
 def build_model(instance: Instance) -> IpModel:
@@ -230,18 +234,104 @@ def _baseline_allocation(model: IpModel) -> Allocation:
     return Allocation(assigned=assigned, schedule=schedule, objective=evaluate_objective(inst, assigned, schedule))
 
 
-def solve_exact(model: IpModel, time_limit: float = DEFAULT_TIME_LIMIT) -> SolveResult:
+def _dual_bound(model: IpModel, y: np.ndarray) -> Optional[int]:
+    """Exact integer upper bound on the model's optimum from row multipliers y.
+
+    For any y >= 0 and any feasible x, c.x <= b.y + (c - A^T y).x, and each
+    term of the second product is at most its best value over the
+    variable's box (Neumaier & Shcherbina, "Safe bounds in linear and
+    mixed-integer linear programming", Math. Prog. 2004).  y is clipped at 0
+    and rounded down onto a grid of 1/DUAL_GRID, so with integer c, A, b and
+    bounds the bound is computed in int64 and floored exactly.  None when an
+    unbounded variable has a reduced cost pointing at its open end, or when
+    a partial sum could overflow int64.
+    """
+    lo_open, hi_open = ~np.isfinite(model.lb), ~np.isfinite(model.ub)
+    lo, hi = np.where(lo_open, 0.0, model.lb), np.where(hi_open, 0.0, model.ub)
+    if any(not np.array_equal(v, np.trunc(v)) for v in (model.c, model.b, model.A.data, lo, hi)):
+        return None
+    yq = np.floor(np.maximum(y, 0.0) * DUAL_GRID)
+    # every partial sum below is at most this sum of absolute values
+    column = DUAL_GRID * np.abs(model.c) + abs(model.A).T @ yq
+    magnitude = np.abs(model.b) @ yq + column @ np.maximum(np.maximum(-lo, hi), 1.0)
+    if not magnitude < 2.0**62:
+        return None
+    yq = yq.astype(np.int64)
+    reduced = DUAL_GRID * model.c.astype(np.int64) - model.A.T.astype(np.int64) @ yq
+    if np.any((reduced > 0) & hi_open) or np.any((reduced < 0) & lo_open):
+        return None
+    best = np.where(reduced > 0, hi, lo).astype(np.int64)
+    return (int(model.b.astype(np.int64) @ yq) + int(reduced @ best)) // DUAL_GRID
+
+
+def _is_model_point(model: IpModel, allocation: Allocation) -> bool:
+    """allocation passes validate_allocation and sets only variables the
+    model has, within their bounds (so pins and the frozen prefix hold)."""
+    x = np.zeros(model.n_vars)
+    try:
+        for aid, sid in allocation.assigned.items():
+            if sid is not None:
+                x[model.phi_index[(aid, sid)]] = 1.0
+        for triple in allocation.schedule:
+            x[model.charge_index[triple]] = 1.0
+    except KeyError:  # a pair or a slot the model has no variable for
+        return False
+    if not (np.all(model.lb <= x) and np.all(x <= model.ub)):
+        return False
+    return not validate_allocation(model.instance, allocation)
+
+
+def _prove_by_lp(
+    model: IpModel, incumbent: Allocation, time_limit: float
+) -> Optional[tuple[Allocation, str]]:
+    """The incumbent ("lp-bound") or the LP relaxation's point when its
+    binaries are integral ("lp-integral"), once its exact welfare equals the
+    exact dual bound of the relaxation; None when neither is proven."""
+    res = linprog(
+        -model.c, A_ub=model.A, b_ub=model.b, bounds=np.column_stack([model.lb, model.ub]),
+        method="highs", options={"time_limit": time_limit},
+    )
+    if res.status != 0:
+        return None
+    bound = _dual_bound(model, -res.ineqlin.marginals)
+    if bound is None:
+        return None
+    if _is_model_point(model, incumbent):  # so evaluate_objective knows every id
+        welfare = evaluate_objective(model.instance, incumbent.assigned, incumbent.schedule)
+        if welfare == bound:
+            return Allocation(incumbent.assigned, incumbent.schedule, welfare), "lp-bound"
+    binary = res.x[model.is_binary]
+    if np.all(np.abs(binary - np.round(binary)) <= 1e-6):
+        point = _allocation_from_x(model, np.round(res.x))
+        if point.objective == bound and _is_model_point(model, point):
+            return point, "lp-integral"
+    return None
+
+
+def solve_exact(
+    model: IpModel, time_limit: float = DEFAULT_TIME_LIMIT, incumbent: Optional[Allocation] = None
+) -> SolveResult:
     """Solve the 0-1 program to proven optimality.
 
-    HiGHS branch-and-cut runs with a zero MIP gap; the incumbent is
+    HiGHS branch-and-cut runs with a zero MIP gap; its solution is
     re-evaluated in exact integer arithmetic.  Deterministic for a fixed
     input; reports feasible_time_limited when the clock runs out before the
     proof.
+
+    Given an incumbent (a VCG counterfactual passes the priced allocation
+    without its winner), the LP relaxation runs first and branch-and-cut
+    only when _prove_by_lp proves neither the incumbent nor the LP point;
+    both share time_limit.  Without one, the solve is branch-and-cut alone.
     """
     start = time.monotonic()
-    incumbent = _baseline_allocation(model)
+    baseline = _baseline_allocation(model)
     if model.n_vars == 0:
-        return SolveResult(incumbent, STATUS_OPTIMAL, nodes=0, runtime_s=time.monotonic() - start)
+        return SolveResult(baseline, STATUS_OPTIMAL, nodes=0, runtime_s=time.monotonic() - start)
+    if incumbent is not None:
+        proven = _prove_by_lp(model, incumbent, time_limit)
+        if proven is not None:
+            return SolveResult(proven[0], STATUS_OPTIMAL, 0, time.monotonic() - start, proven[1])
+        time_limit = max(0.0, time_limit - (time.monotonic() - start))
     res = milp(
         -model.c,
         constraints=LinearConstraint(model.A, -np.inf, model.b),
@@ -256,9 +346,9 @@ def solve_exact(model: IpModel, time_limit: float = DEFAULT_TIME_LIMIT) -> Solve
     if res.status == 1:  # hit the time limit
         if res.x is not None:
             cand = _allocation_from_x(model, np.round(res.x))
-            if cand.objective > incumbent.objective:
-                incumbent = cand
-        return SolveResult(incumbent, STATUS_TIME_LIMITED, nodes, runtime)
+            if cand.objective > baseline.objective:
+                baseline = cand
+        return SolveResult(baseline, STATUS_TIME_LIMITED, nodes, runtime)
     if res.status != 0 or res.x is None:
         raise RuntimeError(f"MILP solve failed with status {res.status}: {res.message}")
     allocation = _allocation_from_x(model, np.round(res.x))

@@ -19,17 +19,6 @@ Energy = int  # whole energy units
 MONEY_SCALE = 100
 
 
-def money_from_float(x: float) -> Money:
-    """Convert a currency amount to fixed-point cents (round half away from zero)."""
-    if x >= 0:
-        return int(x * MONEY_SCALE + 0.5)
-    return -int(-x * MONEY_SCALE + 0.5)
-
-
-def money_to_float(m: Money) -> float:
-    return m / MONEY_SCALE
-
-
 @dataclass(frozen=True)
 class TimeGrid:
     """Discrete scheduling horizon; time indices are ints in [0, horizon_len)."""

@@ -10,10 +10,19 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Optional
 
-from .allocator import DEFAULT_TIME_LIMIT, STATUS_OPTIMAL, SolveResult, build_model, solve_exact
+from .allocator import (
+    DEFAULT_TIME_LIMIT,
+    STATUS_OPTIMAL,
+    SolveResult,
+    build_model,
+    evaluate_objective,
+    solve_exact,
+)
 from .model import Allocation, Instance, Money, PricingOutcome
 
-Solver = Callable[[Instance], SolveResult]
+# solver(instance), or solver(instance, incumbent=allocation) for a VCG
+# counterfactual, where allocation is feasible and a solver may start from it
+Solver = Callable[..., SolveResult]
 
 MECHANISMS = ("coop", "vcg")
 
@@ -28,8 +37,12 @@ class NoBreakeven(Exception):
     """The Coop markup never turned the budget positive within incr <= 1.0."""
 
 
-def default_solver(instance: Instance, time_limit: float = DEFAULT_TIME_LIMIT) -> SolveResult:
-    return solve_exact(build_model(instance), time_limit=time_limit)
+def default_solver(
+    instance: Instance,
+    time_limit: float = DEFAULT_TIME_LIMIT,
+    incumbent: Optional[Allocation] = None,
+) -> SolveResult:
+    return solve_exact(build_model(instance), time_limit=time_limit, incumbent=incumbent)
 
 
 def _coop_price(energy_demand: int, elec_cost: Money, incr_mil: int) -> Money:
@@ -95,8 +108,10 @@ def price_vcg(
 ) -> PricingOutcome:
     """Each winner pays its externality: the others' best welfare without it
     minus their welfare with it.  Requires allocation to be a proven optimum;
-    every counterfactual solve must also prove optimality.  Payments can be
-    negative when an EV's charging reduces the imbalance penalty.
+    every counterfactual solve must also prove optimality.  Each
+    counterfactual solver gets the priced allocation without the winner as
+    its incumbent.  Payments can be negative when an EV's charging reduces
+    the imbalance penalty.
     """
     pinned_agents = set(instance.pinned.assigned) if instance.pinned else set()
     payments: dict[str, Money] = {}
@@ -109,7 +124,10 @@ def price_vcg(
             utilities[aid] = 0
             continue
         counterfactual = instance.without_agent(aid)
-        result = solver(counterfactual)
+        assigned = {a: s for a, s in allocation.assigned.items() if a != aid}
+        schedule = frozenset(tr for tr in allocation.schedule if tr[0] != aid)
+        welfare = evaluate_objective(counterfactual, assigned, schedule)
+        result = solver(counterfactual, incumbent=Allocation(assigned, schedule, welfare))
         if result.status != STATUS_OPTIMAL:
             raise CounterfactualNotOptimal(
                 f"counterfactual solve without {aid} ended with status {result.status}"

@@ -21,7 +21,7 @@ from .model import (
     Station,
     TimeGrid,
 )
-from .transport import RoadNetwork, TimeCostParams, build_requests
+from .transport import NetworkError, RoadNetwork, TimeCostParams, build_requests
 
 FORMAT_VERSION = "1"
 
@@ -144,23 +144,21 @@ def instance_from_dict(doc: dict) -> Instance:
         network: Optional[RoadNetwork] = None
         if doc.get("network") is not None:
             nd = doc["network"]
-            network = RoadNetwork(
-                nodes=frozenset(int(n) for n in _require(nd, "nodes")),
-                edges=tuple(
-                    (int(e["a"]), int(e["b"]), float(e["km"])) for e in _require(nd, "edges")
-                ),
-                charging_nodes=frozenset(int(n) for n in _require(nd, "charging_nodes")),
-                avg_speed=float(nd.get("avg_speed", 1.0)),
-                time_cost=TimeCostParams(
-                    per_drive_point=int(nd.get("per_drive_point", 0)),
-                    per_walk_km=int(nd.get("per_walk_km", 0)),
-                ),
-            )
-            if not network.avg_speed > 0:
-                raise FormatError("network.avg_speed", "must be > 0")
-            for i, (a, b, _) in enumerate(network.edges):
-                _require_node(network, a, f"network.edges[{i}].a")
-                _require_node(network, b, f"network.edges[{i}].b")
+            try:
+                network = RoadNetwork(
+                    nodes=frozenset(int(n) for n in _require(nd, "nodes")),
+                    edges=tuple(
+                        (int(e["a"]), int(e["b"]), float(e["km"])) for e in _require(nd, "edges")
+                    ),
+                    charging_nodes=frozenset(int(n) for n in _require(nd, "charging_nodes")),
+                    avg_speed=float(nd.get("avg_speed", 1.0)),
+                    time_cost=TimeCostParams(
+                        per_drive_point=int(nd.get("per_drive_point", 0)),
+                        per_walk_km=int(nd.get("per_walk_km", 0)),
+                    ),
+                )
+            except NetworkError as exc:
+                raise FormatError(f"network.{exc.field}", exc.message) from exc
             for i, s in enumerate(stations):
                 _require_node(network, s.location, f"stations[{i}].location")
             for i, e in enumerate(evs):

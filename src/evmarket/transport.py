@@ -20,6 +20,15 @@ class TimeCostParams:
     per_walk_km: Money = 0
 
 
+class NetworkError(ValueError):
+    """A RoadNetwork field breaks a rule; field names it, as in edges[1].b."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(f"{field}: {message}")
+        self.field = field
+        self.message = message
+
+
 @dataclass(frozen=True)
 class RoadNetwork:
     nodes: frozenset[int]
@@ -30,10 +39,15 @@ class RoadNetwork:
 
     def __post_init__(self) -> None:
         if not self.charging_nodes <= self.nodes:
-            raise ValueError("charging_nodes must be a subset of nodes")
-        for a, b, km in self.edges:
+            raise NetworkError("charging_nodes", "must be a subset of nodes")
+        if not self.avg_speed > 0:
+            raise NetworkError("avg_speed", "must be > 0")
+        for i, (a, b, km) in enumerate(self.edges):
+            for end, node in (("a", a), ("b", b)):
+                if node not in self.nodes:
+                    raise NetworkError(f"edges[{i}].{end}", f"node {node} is not in nodes")
             if km <= 0:
-                raise ValueError(f"edge ({a},{b}) has non-positive length")
+                raise NetworkError(f"edges[{i}].km", "must be > 0")
 
 
 def distances_km(network: RoadNetwork, sources: Iterable[int]) -> dict[int, dict[int, float]]:

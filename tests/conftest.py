@@ -123,7 +123,7 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
-def bf_solver(instance, time_limit=None):
+def bf_solver(instance, time_limit=None, incumbent=None):
     """Brute-force enumeration wrapped in the Solver interface; always optimal."""
     return SolveResult(allocation=solve_bruteforce(instance), status=STATUS_OPTIMAL)
 
@@ -131,7 +131,7 @@ def bf_solver(instance, time_limit=None):
 def unproven_full_market_solver(n_agents):
     """Brute-force solver that reports a market of n_agents as time-limited
     and every smaller market (each VCG counterfactual) as optimal."""
-    def solve(instance, time_limit=None):
+    def solve(instance, time_limit=None, incumbent=None):
         status = STATUS_TIME_LIMITED if len(instance.requests) == n_agents else STATUS_OPTIMAL
         return SolveResult(allocation=solve_bruteforce(instance), status=status)
     return solve

@@ -3,11 +3,21 @@ import hashlib
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 import evmarket.allocator
-from evmarket import Allocation, build_model, generate, solve_bruteforce, solve_exact, validate_allocation
-from evmarket.allocator import InfeasiblePin, evaluate_objective
+from evmarket import (
+    Allocation,
+    build_model,
+    generate,
+    price_vcg,
+    solve_bruteforce,
+    solve_exact,
+    validate_allocation,
+)
+from evmarket.allocator import InfeasiblePin, _dual_bound, evaluate_objective
 from evmarket.experiments import DESK
+from evmarket.pricing import default_solver
 
 from conftest import flat_instance, make_ev, make_station, random_flat_instance
 
@@ -281,3 +291,104 @@ def test_model_matches_golden_digests(case):
     if case == "desk30-pinned":
         inst = dataclasses.replace(inst, pinned=DESK30_PINS, frozen_before=6)
     assert _model_digests(build_model(inst)) == GOLDEN_MODELS[case]
+
+
+def _fractional_market(frozen_before=0):
+    """One charger over four points: a and b each need two of the first
+    three, c one of them, d the last one alone.  The LP relaxation splits a
+    and b, yet its value, 301, is the integer optimum (a or b, with c and d)."""
+    inst = flat_instance(
+        [make_station("L1", elec_cost=0, dem=(0, 0, 0, 0))],
+        [make_ev("a", 2, 200, park=3), make_ev("b", 2, 200, park=3),
+         make_ev("c", 1, 100, park=3), make_ev("d", 1, 1, start=3, park=1)],
+        horizon=4,
+    )
+    return dataclasses.replace(inst, frozen_before=frozen_before)
+
+
+def _lp_duals(model):
+    res = linprog(-model.c, A_ub=model.A, b_ub=model.b,
+                  bounds=np.column_stack([model.lb, model.ub]), method="highs")
+    return -res.ineqlin.marginals
+
+
+@pytest.mark.parametrize("case", ["tiny1", "tiny2", "fractional", "imbalance"])
+def test_dual_bound_equals_integer_optimum(case, tiny1, tiny2):
+    inst = {"tiny1": tiny1, "tiny2": tiny2, "fractional": _fractional_market(),
+            "imbalance": random_flat_instance(8)}[case]
+    model = build_model(inst)
+    assert _dual_bound(model, _lp_duals(model)) == solve_exact(model).allocation.objective
+
+
+def test_dual_bound_refuses_unsound_multipliers():
+    model = build_model(random_flat_instance(8))  # imbalance cost 10 per unit
+    rows = model.A.shape[0]
+    optimum = solve_exact(model).allocation.objective
+    assert _dual_bound(model, np.zeros(rows)) >= optimum  # any y >= 0 bounds the optimum
+    # 1000 on both rows of an imbalance column outweighs its cost of 10, so
+    # the unbounded column would raise the bound without limit
+    assert _dual_bound(model, np.full(rows, 1000.0)) is None
+    assert _dual_bound(model, np.full(rows, 1e30)) is None  # int64 would overflow
+
+
+@pytest.mark.parametrize("case", ["one-cent-below", "invalid", "frozen-slot"])
+def test_unproven_incumbent_goes_to_milp(case):
+    inst = _fractional_market(frozen_before=1 if case == "frozen-slot" else 0)
+    model = build_model(inst)
+    best = solve_exact(model).allocation
+    winner, loser = ("a", "b") if best.assigned["a"] else ("b", "a")
+    assigned, schedule = dict(best.assigned), best.schedule
+    if case == "one-cent-below":  # valid, but d's one cent is left out
+        assigned["d"] = None
+        schedule = frozenset(tr for tr in schedule if tr[0] != "d")
+    elif case == "invalid":  # same welfare, but the loser charges unassigned
+        t = min(t for aid, _, t in schedule if aid == winner)
+        schedule = schedule | {(loser, "L1", t)}
+    else:  # valid by validate_allocation, but charges in the frozen slot 0
+        schedule = frozenset({(winner, "L1", 0), (winner, "L1", 1), ("d", "L1", 3)})
+    welfare = evaluate_objective(inst, assigned, schedule)
+    assert welfare == best.objective - (case == "one-cent-below")
+    assert (validate_allocation(inst, Allocation(assigned, schedule, welfare)) == []) == (case != "invalid")
+    result = solve_exact(model, incumbent=Allocation(assigned, schedule, welfare))
+    # the frozen market's relaxation is integral, so its LP point is proven instead
+    rung = "lp-integral" if case == "frozen-slot" else "milp"
+    assert (result.status, result.proof, result.allocation.objective) == (
+        "optimal", rung, best.objective)
+    assert validate_allocation(inst, result.allocation) == []
+    assert all(t >= inst.frozen_before for _, _, t in result.allocation.schedule)
+
+
+def test_proof_names_the_rung():
+    inst = generate(DESK, 1000)
+    main = solve_exact(build_model(inst))
+    assert main.proof == "milp"
+    rungs = []
+
+    def recording(instance, incumbent=None):
+        result = default_solver(instance, incumbent=incumbent)
+        rungs.append((result.proof, result.nodes))
+        return result
+
+    price_vcg(inst, main.allocation, solver=recording)
+    assert len(rungs) == 25 and set(rungs) == {("lp-bound", 0)}
+
+
+def test_integral_lp_point_below_bound_goes_to_milp(monkeypatch):
+    # an LP that returns an integral point one cent short of its own bound
+    # (the fractional market's optimum without d) must not prove that point
+    model = build_model(_fractional_market())
+    best = solve_exact(model).allocation
+    assigned = {**best.assigned, "d": None}
+    schedule = frozenset(tr for tr in best.schedule if tr[0] != "d")
+    real_linprog = evmarket.allocator.linprog
+
+    def short_point(*args, **kwargs):
+        res = real_linprog(*args, **kwargs)
+        res.x = np.zeros(model.n_vars)
+        res.x[[i for (aid, sid), i in model.phi_index.items() if assigned[aid] == sid]] = 1.0
+        res.x[[i for triple, i in model.charge_index.items() if triple in schedule]] = 1.0
+        return res
+
+    monkeypatch.setattr(evmarket.allocator, "linprog", short_point)
+    result = solve_exact(model, incumbent=Allocation(assigned, schedule, best.objective - 1))
+    assert (result.proof, result.allocation.objective) == ("milp", best.objective)

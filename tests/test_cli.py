@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import evmarket.allocator
 import evmarket.cli
 import evmarket.experiments
 import evmarket.pricing
@@ -104,14 +105,20 @@ def test_online_command(tmp_path, tiny1_file):
 
 
 def test_time_limit_reaches_every_solve(tmp_path, tiny1_file, monkeypatch):
-    limits = []
+    limits, lp_limits = [], []
     real_solve_exact = evmarket.pricing.solve_exact
+    real_linprog = evmarket.allocator.linprog
 
-    def recording_solve_exact(model, time_limit):
+    def recording_solve_exact(model, time_limit, incumbent=None):
         limits.append(time_limit)
-        return real_solve_exact(model, time_limit)
+        return real_solve_exact(model, time_limit, incumbent)
+
+    def recording_linprog(*args, options, **kwargs):
+        lp_limits.append(options["time_limit"])
+        return real_linprog(*args, options=options, **kwargs)
 
     monkeypatch.setattr(evmarket.pricing, "solve_exact", recording_solve_exact)
+    monkeypatch.setattr(evmarket.allocator, "linprog", recording_linprog)
     assert main(["solve", tiny1_file, "--mechanism", "vcg", "--time-limit", "7",
                  "--out", str(tmp_path / "solve")]) == 0
     assert len(limits) == 3  # the allocation plus one counterfactual per winner
@@ -123,6 +130,8 @@ def test_time_limit_reaches_every_solve(tmp_path, tiny1_file, monkeypatch):
                  "--n-instances", "2", "--time-limit", "7"]) == 0
     assert len(limits) == 8  # one allocation solve per instance of the family
     assert set(limits) == {7.0}
+    # each VCG counterfactual (two in solve, two in online) starts with the LP
+    assert lp_limits == [7.0] * 4
 
 
 def test_calibrate_incr_command(tmp_path, capsys):
@@ -149,7 +158,7 @@ def test_exp_command_writes_reports(tmp_path):
 def test_exp_exits_2_on_unproven_vcg_solve(tmp_path, monkeypatch, capsys):
     real_solver = evmarket.experiments.default_solver
 
-    def time_limited(instance, time_limit=None):
+    def time_limited(instance, time_limit=None, incumbent=None):
         return dataclasses.replace(real_solver(instance), status=STATUS_TIME_LIMITED)
 
     monkeypatch.setattr(evmarket.experiments, "default_solver", time_limited)

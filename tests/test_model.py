@@ -1,15 +1,11 @@
 import pytest
 
 from evmarket import EvType, MONEY_SCALE, Station, StationAccess, imbalance_cost
-from evmarket.model import money_from_float, money_to_float
 
 from conftest import flat_instance, make_ev, make_station
 
 
-def test_money_roundtrip():
-    assert money_from_float(4.2) == 420
-    assert money_from_float(-1.01) == -101
-    assert money_to_float(420) == 4.2
+def test_money_scale():
     assert MONEY_SCALE == 100
 
 

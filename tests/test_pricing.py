@@ -2,11 +2,12 @@ import dataclasses
 
 import pytest
 
-from evmarket import build_model, calibrate_incr, price_coop, price_vcg, solve_exact
+from evmarket import build_model, calibrate_incr, generate, price_coop, price_vcg, solve_exact
 from evmarket.allocator import STATUS_TIME_LIMITED, SolveResult
-from evmarket.pricing import CounterfactualNotOptimal, NoBreakeven, _coop_price
+from evmarket.experiments import DESK, DESK_CONTESTED
+from evmarket.pricing import CounterfactualNotOptimal, NoBreakeven, _coop_price, default_solver
 
-from conftest import bf_solver, flat_instance, make_ev, make_station
+from conftest import bf_solver, flat_instance, make_ev, make_station, random_flat_instance
 
 
 def test_coop_price_markup():
@@ -91,7 +92,7 @@ def test_vcg_negative_payment_possible():
 def test_vcg_requires_proven_counterfactuals(tiny2):
     alloc = solve_exact(build_model(tiny2)).allocation
 
-    def flaky(instance, time_limit=None):
+    def flaky(instance, time_limit=None, incumbent=None):
         return SolveResult(allocation=alloc, status=STATUS_TIME_LIMITED)
 
     with pytest.raises(CounterfactualNotOptimal):
@@ -140,3 +141,27 @@ def test_calibrate_incr_no_breakeven():
 def test_calibrate_incr_rejects_bad_step(tiny1):
     with pytest.raises(ValueError):
         calibrate_incr([tiny1], step=0)
+
+
+def _rebuild_and_milp(instance, time_limit=None, incumbent=None):
+    """Every counterfactual through branch-and-cut, as without the LP rungs."""
+    return default_solver(instance)
+
+
+def _ladder_matches_milp(instance):
+    alloc = solve_exact(build_model(instance)).allocation
+    return price_vcg(instance, alloc) == price_vcg(instance, alloc, solver=_rebuild_and_milp)
+
+
+@pytest.mark.parametrize(
+    "params, seed",
+    [(DESK, 1000), (DESK, 1001), *((DESK_CONTESTED, s) for s in range(5)),
+     (dataclasses.replace(DESK, n_evs=60), 2)],
+    ids=["desk30-1000", "desk30-1001", *(f"contested-{s}" for s in range(5)), "desk60-2"],
+)
+def test_vcg_ladder_matches_milp(params, seed):
+    assert _ladder_matches_milp(generate(params, seed))
+
+
+def test_vcg_ladder_matches_milp_random_flat():
+    assert [s for s in range(200) if not _ladder_matches_milp(random_flat_instance(s))] == []

@@ -191,3 +191,17 @@ def test_routing_runs_once_per_station_location(monkeypatch):
     assert calls == [locations]  # one table per station, shared by all EVs and resamples
     instance_from_dict(instance_to_dict(inst))
     assert calls == [locations, locations]
+
+
+@pytest.mark.parametrize(
+    "kw, field",
+    [({"avg_speed": 0.0}, "avg_speed"),
+     ({"edges": ((0, 1, 1.0), (1, 9, 1.0))}, "edges[1].b"),
+     ({"charging_nodes": frozenset({9})}, "charging_nodes"),
+     ({"edges": ((0, 1, 0.0),)}, "edges[0].km")],
+)
+def test_network_checks_its_fields(kw, field):
+    # build_requests divided by a zero speed before the network checked itself
+    with pytest.raises(ValueError) as exc:
+        build_requests(line_network(**kw), [], [], TimeGrid(horizon_len=4))
+    assert exc.value.field == field
