@@ -15,18 +15,20 @@ zero MIP gap.  The solution is re-evaluated in exact integer arithmetic
 reported optima are bit-reproducible and comparable across counterfactual
 solves.  Given a known feasible allocation (the incumbent), solve_exact
 first tries to prove it, or the LP relaxation's point, optimal with an
-exact integer dual bound and runs branch-and-cut only when that fails.
+exact integer dual bound and runs branch-and-cut only when that fails.  A
+VCG counterfactual fixes one agent's columns to 0 on the market's model.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, linprog, milp
+from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.optimize._highspy import _core  # private; tested on scipy 1.17
 
 from .model import Allocation, Instance, Money, imbalance_cost
 
@@ -51,12 +53,14 @@ class IpModel:
     instance: Instance
     phi_index: dict[tuple[str, str], int]
     charge_index: dict[tuple[str, str, int], int]
+    columns: dict[str, list[int]]  # each agent's assignment and charge variables
     c: np.ndarray  # objective (maximize), integer-valued cents
     A: sparse.csr_matrix  # A x <= b
     b: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
     is_binary: np.ndarray
+    _lp: Optional["_LpRelaxation"] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_vars(self) -> int:
@@ -97,6 +101,7 @@ def build_model(instance: Instance) -> IpModel:
 
     phi_index: dict[tuple[str, str], int] = {}
     charge_index: dict[tuple[str, str, int], int] = {}
+    columns: dict[str, list[int]] = {}
     c: list[float] = []
     lb: list[float] = []
     ub: list[float] = []
@@ -115,7 +120,7 @@ def build_model(instance: Instance) -> IpModel:
     for req in instance.requests:
         aid = req.ev.id
         pinned = aid in pinned_assigned
-        own = []
+        own, columns[aid] = [], []
         for st in instance.stations:
             if st.id not in req.feasible_stations:
                 continue
@@ -125,6 +130,7 @@ def build_model(instance: Instance) -> IpModel:
                 continue
             phi = add_var(acc.valuation, pinned_assigned[aid] == st.id if pinned else None)
             phi_index[(aid, st.id)] = phi
+            columns[aid].append(phi)
             own.append((st, acc, phi, start, []))
         pairs.append(own)
     cells: dict[tuple[str, int], list[int]] = {}  # (station, t) -> charge vars
@@ -135,6 +141,7 @@ def build_model(instance: Instance) -> IpModel:
             for t in range(start, acc.departure):
                 i = add_var(-st.slot_elec_cost, (aid, st.id, t) in pinned_slots if pinned else None)
                 charge_index[(aid, st.id, t)] = i
+                columns[aid].append(i)
                 pair.append(i)
                 cells.setdefault((st.id, t), []).append(i)
     n_binary = len(c)
@@ -184,6 +191,7 @@ def build_model(instance: Instance) -> IpModel:
         instance=instance,
         phi_index=phi_index,
         charge_index=charge_index,
+        columns=columns,
         c=np.array(c),
         A=A,
         b=np.array(b),
@@ -221,21 +229,39 @@ def _allocation_from_x(model: IpModel, x: np.ndarray) -> Allocation:
     return Allocation(assigned=assigned, schedule=schedule, objective=obj)
 
 
-def _baseline_allocation(model: IpModel) -> Allocation:
-    """Pins-only allocation: always feasible once pins validate."""
-    inst = model.instance
-    assigned: dict[str, Optional[str]] = {r.ev.id: None for r in inst.requests}
-    schedule: frozenset[tuple[str, str, int]] = frozenset()
-    if inst.pinned is not None:
-        for aid, sid in inst.pinned.assigned.items():
-            if aid in assigned:
-                assigned[aid] = sid
-        schedule = inst.pinned.schedule
-    return Allocation(assigned=assigned, schedule=schedule, objective=evaluate_objective(inst, assigned, schedule))
+class _LpRelaxation:
+    """A model's LP relaxation, passed once to one persistent HiGHS instance
+    (scipy's private bindings).  Changing column bounds keeps HiGHS's basis,
+    so every run after the first warm-starts from the last one."""
+
+    def __init__(self, model: IpModel):
+        A = model.A.tocsc()
+        lp = _core.HighsLp()
+        lp.num_row_, lp.num_col_ = A.shape  # passModel copies them into a_matrix_
+        lp.a_matrix_.format_ = _core.MatrixFormat.kColwise
+        lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = A.indptr, A.indices, A.data
+        lp.col_cost_, lp.col_lower_, lp.col_upper_ = -model.c, model.lb, model.ub
+        lp.row_lower_, lp.row_upper_ = np.full(len(model.b), -np.inf), model.b
+        self.highs = _core._Highs()
+        self.highs.setOptionValue("output_flag", False)
+        self.highs.passModel(lp)  # a model that fails to load fails every run()
+
+    def set_bounds(self, cols: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> None:
+        self.highs.changeColsBounds(len(cols), cols, lb, ub)
+
+    def run(self, time_limit: float) -> Optional[tuple[np.ndarray, np.ndarray]]:
+        """The LP point x and its row multipliers y >= 0, or None unless
+        HiGHS proves the relaxation optimal within time_limit."""
+        self.highs.setOptionValue("time_limit", float(time_limit))
+        self.highs.run()
+        if self.highs.getModelStatus() != _core.HighsModelStatus.kOptimal:
+            return None
+        solution = self.highs.getSolution()
+        return np.array(solution.col_value), -np.array(solution.row_dual)
 
 
-def _dual_bound(model: IpModel, y: np.ndarray) -> Optional[int]:
-    """Exact integer upper bound on the model's optimum from row multipliers y.
+def _dual_bound(model: IpModel, y: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> Optional[int]:
+    """Exact integer upper bound on the optimum within bounds lb, ub from row multipliers y.
 
     For any y >= 0 and any feasible x, c.x <= b.y + (c - A^T y).x, and each
     term of the second product is at most its best value over the
@@ -246,8 +272,8 @@ def _dual_bound(model: IpModel, y: np.ndarray) -> Optional[int]:
     unbounded variable has a reduced cost pointing at its open end, or when
     a partial sum could overflow int64.
     """
-    lo_open, hi_open = ~np.isfinite(model.lb), ~np.isfinite(model.ub)
-    lo, hi = np.where(lo_open, 0.0, model.lb), np.where(hi_open, 0.0, model.ub)
+    lo_open, hi_open = ~np.isfinite(lb), ~np.isfinite(ub)
+    lo, hi = np.where(lo_open, 0.0, lb), np.where(hi_open, 0.0, ub)
     if any(not np.array_equal(v, np.trunc(v)) for v in (model.c, model.b, model.A.data, lo, hi)):
         return None
     yq = np.floor(np.maximum(y, 0.0) * DUAL_GRID)
@@ -264,9 +290,9 @@ def _dual_bound(model: IpModel, y: np.ndarray) -> Optional[int]:
     return (int(model.b.astype(np.int64) @ yq) + int(reduced @ best)) // DUAL_GRID
 
 
-def _is_model_point(model: IpModel, allocation: Allocation) -> bool:
+def _is_model_point(model: IpModel, allocation: Allocation, lb: np.ndarray, ub: np.ndarray) -> bool:
     """allocation passes validate_allocation and sets only variables the
-    model has, within their bounds (so pins and the frozen prefix hold)."""
+    model has, within lb and ub (so pins, the frozen prefix and `without` hold)."""
     x = np.zeros(model.n_vars)
     try:
         for aid, sid in allocation.assigned.items():
@@ -276,41 +302,40 @@ def _is_model_point(model: IpModel, allocation: Allocation) -> bool:
             x[model.charge_index[triple]] = 1.0
     except KeyError:  # a pair or a slot the model has no variable for
         return False
-    if not (np.all(model.lb <= x) and np.all(x <= model.ub)):
+    if not (np.all(lb <= x) and np.all(x <= ub)):
         return False
     return not validate_allocation(model.instance, allocation)
 
 
-def _prove_by_lp(
-    model: IpModel, incumbent: Allocation, time_limit: float
-) -> Optional[tuple[Allocation, str]]:
+def _prove_by_lp(model: IpModel, lb: np.ndarray, ub: np.ndarray, cols: np.ndarray,
+                 incumbent: Allocation, time_limit: float) -> Optional[tuple[Allocation, str]]:
     """The incumbent ("lp-bound") or the LP relaxation's point when its
     binaries are integral ("lp-integral"), once its exact welfare equals the
-    exact dual bound of the relaxation; None when neither is proven."""
-    res = linprog(
-        -model.c, A_ub=model.A, b_ub=model.b, bounds=np.column_stack([model.lb, model.ub]),
-        method="highs", options={"time_limit": time_limit},
-    )
-    if res.status != 0:
+    exact dual bound of the relaxation within lb, ub; None when neither is
+    proven.  The columns cols take their bounds in lb, ub for this run only."""
+    model._lp = model._lp or _LpRelaxation(model)
+    model._lp.set_bounds(cols, lb[cols], ub[cols])
+    try:
+        solution = model._lp.run(time_limit)
+    finally:
+        model._lp.set_bounds(cols, model.lb[cols], model.ub[cols])
+    if solution is None or (bound := _dual_bound(model, solution[1], lb, ub)) is None:
         return None
-    bound = _dual_bound(model, -res.ineqlin.marginals)
-    if bound is None:
-        return None
-    if _is_model_point(model, incumbent):  # so evaluate_objective knows every id
+    x = solution[0]
+    if _is_model_point(model, incumbent, lb, ub):  # so evaluate_objective knows every id
         welfare = evaluate_objective(model.instance, incumbent.assigned, incumbent.schedule)
         if welfare == bound:
             return Allocation(incumbent.assigned, incumbent.schedule, welfare), "lp-bound"
-    binary = res.x[model.is_binary]
+    binary = x[model.is_binary]
     if np.all(np.abs(binary - np.round(binary)) <= 1e-6):
-        point = _allocation_from_x(model, np.round(res.x))
-        if point.objective == bound and _is_model_point(model, point):
+        point = _allocation_from_x(model, np.round(x))
+        if point.objective == bound and _is_model_point(model, point, lb, ub):
             return point, "lp-integral"
     return None
 
 
-def solve_exact(
-    model: IpModel, time_limit: float = DEFAULT_TIME_LIMIT, incumbent: Optional[Allocation] = None
-) -> SolveResult:
+def solve_exact(model: IpModel, time_limit: float = DEFAULT_TIME_LIMIT,
+                incumbent: Optional[Allocation] = None, without: Optional[str] = None) -> SolveResult:
     """Solve the 0-1 program to proven optimality.
 
     HiGHS branch-and-cut runs with a zero MIP gap; its solution is
@@ -318,17 +343,21 @@ def solve_exact(
     input; reports feasible_time_limited when the clock runs out before the
     proof.
 
-    Given an incumbent (a VCG counterfactual passes the priced allocation
-    without its winner), the LP relaxation runs first and branch-and-cut
-    only when _prove_by_lp proves neither the incumbent nor the LP point;
-    both share time_limit.  Without one, the solve is branch-and-cut alone.
+    without names an agent whose columns are fixed to 0: a VCG counterfactual
+    solves the market without its winner on this model, with the priced
+    allocation less the winner as incumbent.  Given an incumbent, the LP
+    relaxation runs first and branch-and-cut only when _prove_by_lp proves
+    neither the incumbent nor the LP point; both share time_limit.  Without
+    one, the solve is branch-and-cut alone.
     """
     start = time.monotonic()
-    baseline = _baseline_allocation(model)
+    cols = np.array(model.columns[without] if without is not None else [], dtype=np.int32)
+    lb, ub = model.lb.copy(), model.ub.copy()
+    lb[cols] = ub[cols] = 0.0
     if model.n_vars == 0:
-        return SolveResult(baseline, STATUS_OPTIMAL, nodes=0, runtime_s=time.monotonic() - start)
+        return SolveResult(_allocation_from_x(model, lb), STATUS_OPTIMAL, 0, time.monotonic() - start)
     if incumbent is not None:
-        proven = _prove_by_lp(model, incumbent, time_limit)
+        proven = _prove_by_lp(model, lb, ub, cols, incumbent, time_limit)
         if proven is not None:
             return SolveResult(proven[0], STATUS_OPTIMAL, 0, time.monotonic() - start, proven[1])
         time_limit = max(0.0, time_limit - (time.monotonic() - start))
@@ -336,7 +365,7 @@ def solve_exact(
         -model.c,
         constraints=LinearConstraint(model.A, -np.inf, model.b),
         integrality=model.is_binary.astype(int),
-        bounds=Bounds(model.lb, model.ub),
+        bounds=Bounds(lb, ub),
         options={"mip_rel_gap": 0.0, "time_limit": time_limit},
     )
     runtime = time.monotonic() - start
@@ -344,6 +373,7 @@ def solve_exact(
     if res.status == 2:
         raise Infeasible("model infeasible: contradictory pinned commitments")
     if res.status == 1:  # hit the time limit
+        baseline = _allocation_from_x(model, lb)  # every variable at its lower bound: the pins alone
         if res.x is not None:
             cand = _allocation_from_x(model, np.round(res.x))
             if cand.objective > baseline.objective:

@@ -10,7 +10,7 @@ All types are immutable after construction and safe to share across workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import AbstractSet, Mapping, Optional
 
 Money = int  # fixed-point, MONEY_SCALE units per currency unit
@@ -185,10 +185,6 @@ class Instance:
 
     def request(self, agent_id: str) -> EvRequest:
         return self._requests_by_id[agent_id]
-
-    def without_agent(self, agent_id: str) -> "Instance":
-        """Counterfactual instance with one agent's request removed."""
-        return replace(self, requests=tuple(r for r in self.requests if r.ev.id != agent_id))
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,8 @@ from .allocator import (
 )
 from .model import Allocation, Instance, Money, PricingOutcome
 
-# solver(instance), or solver(instance, incumbent=allocation) for a VCG
-# counterfactual, where allocation is feasible and a solver may start from it
+# solver(instance), or solver(instance, incumbent=allocation, without=aid) for the
+# VCG counterfactual: instance's market without aid, starting from a feasible allocation
 Solver = Callable[..., SolveResult]
 
 MECHANISMS = ("coop", "vcg")
@@ -37,12 +37,21 @@ class NoBreakeven(Exception):
     """The Coop markup never turned the budget positive within incr <= 1.0."""
 
 
+_last: list = [None, None]  # the last instance solved (by identity) and its IpModel
+
+
 def default_solver(
     instance: Instance,
     time_limit: float = DEFAULT_TIME_LIMIT,
     incumbent: Optional[Allocation] = None,
+    without: Optional[str] = None,
 ) -> SolveResult:
-    return solve_exact(build_model(instance), time_limit=time_limit, incumbent=incumbent)
+    """solve_exact on the model of instance, kept for the next call on the
+    same object, so a market's VCG counterfactuals reuse its model."""
+    if _last[0] is not instance:
+        _last[:] = None, None  # free the last market's model before building this one
+        _last[:] = instance, build_model(instance)
+    return solve_exact(_last[1], time_limit, incumbent, without)
 
 
 def _coop_price(energy_demand: int, elec_cost: Money, incr_mil: int) -> Money:
@@ -109,9 +118,10 @@ def price_vcg(
     """Each winner pays its externality: the others' best welfare without it
     minus their welfare with it.  Requires allocation to be a proven optimum;
     every counterfactual solve must also prove optimality.  Each
-    counterfactual solver gets the priced allocation without the winner as
-    its incumbent.  Payments can be negative when an EV's charging reduces
-    the imbalance penalty.
+    counterfactual calls solver(instance, incumbent=..., without=winner),
+    where the incumbent is the priced allocation without the winner.
+    Payments can be negative when an EV's charging reduces the imbalance
+    penalty.
     """
     pinned_agents = set(instance.pinned.assigned) if instance.pinned else set()
     payments: dict[str, Money] = {}
@@ -123,11 +133,11 @@ def price_vcg(
             payments[aid] = 0
             utilities[aid] = 0
             continue
-        counterfactual = instance.without_agent(aid)
+        # without aid in it, D_i's welfare is the same in the market without aid
         assigned = {a: s for a, s in allocation.assigned.items() if a != aid}
         schedule = frozenset(tr for tr in allocation.schedule if tr[0] != aid)
-        welfare = evaluate_objective(counterfactual, assigned, schedule)
-        result = solver(counterfactual, incumbent=Allocation(assigned, schedule, welfare))
+        welfare = evaluate_objective(instance, assigned, schedule)
+        result = solver(instance, incumbent=Allocation(assigned, schedule, welfare), without=aid)
         if result.status != STATUS_OPTIMAL:
             raise CounterfactualNotOptimal(
                 f"counterfactual solve without {aid} ended with status {result.status}"

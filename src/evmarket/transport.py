@@ -130,10 +130,14 @@ def request_builder(
 
     With network=None ("flat mode") all drive distances are zero and the time
     cost comes from each EV's explicit time_cost field.  Otherwise Dijkstra
-    runs once per station location, which must be a network node.
+    runs once per station location, and a location that is not a network
+    node raises ValueError.
     """
     horizon = time_grid.horizon_len
     if network is not None:
+        for st in stations:
+            if st.location not in network.nodes:
+                raise ValueError(f"station {st.id} is at location {st.location}, not a network node")
         tables = distances_km(network, {st.location for st in stations})
 
     def build(ev: EvType) -> EvRequest:

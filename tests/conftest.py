@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -123,15 +124,25 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
-def bf_solver(instance, time_limit=None, incumbent=None):
-    """Brute-force enumeration wrapped in the Solver interface; always optimal."""
-    return SolveResult(allocation=solve_bruteforce(instance), status=STATUS_OPTIMAL)
+def drop_agent(instance, agent_id):
+    """The market without agent_id's request (instance itself for None)."""
+    if agent_id is None:
+        return instance
+    return dataclasses.replace(
+        instance, requests=tuple(r for r in instance.requests if r.ev.id != agent_id))
+
+
+def bf_solver(instance, time_limit=None, incumbent=None, without=None):
+    """Brute-force enumeration wrapped in the Solver interface, over the
+    market without the agent `without`; always optimal."""
+    return SolveResult(allocation=solve_bruteforce(drop_agent(instance, without)), status=STATUS_OPTIMAL)
 
 
 def unproven_full_market_solver(n_agents):
     """Brute-force solver that reports a market of n_agents as time-limited
     and every smaller market (each VCG counterfactual) as optimal."""
-    def solve(instance, time_limit=None, incumbent=None):
-        status = STATUS_TIME_LIMITED if len(instance.requests) == n_agents else STATUS_OPTIMAL
-        return SolveResult(allocation=solve_bruteforce(instance), status=status)
+    def solve(instance, time_limit=None, incumbent=None, without=None):
+        market = drop_agent(instance, without)
+        status = STATUS_TIME_LIMITED if len(market.requests) == n_agents else STATUS_OPTIMAL
+        return SolveResult(allocation=solve_bruteforce(market), status=status)
     return solve

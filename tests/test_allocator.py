@@ -15,11 +15,11 @@ from evmarket import (
     solve_exact,
     validate_allocation,
 )
-from evmarket.allocator import InfeasiblePin, _dual_bound, evaluate_objective
+from evmarket.allocator import InfeasiblePin, _dual_bound, _LpRelaxation, evaluate_objective
 from evmarket.experiments import DESK
 from evmarket.pricing import default_solver
 
-from conftest import flat_instance, make_ev, make_station, random_flat_instance
+from conftest import drop_agent, flat_instance, make_ev, make_station, random_flat_instance
 
 
 def test_tiny1_objective(tiny1):
@@ -306,10 +306,16 @@ def _fractional_market(frozen_before=0):
     return dataclasses.replace(inst, frozen_before=frozen_before)
 
 
-def _lp_duals(model):
+def _cold_lp(model, lb, ub):
+    """A cold linprog on the model's relaxation within lb, ub."""
     res = linprog(-model.c, A_ub=model.A, b_ub=model.b,
-                  bounds=np.column_stack([model.lb, model.ub]), method="highs")
-    return -res.ineqlin.marginals
+                  bounds=np.column_stack([lb, ub]), method="highs")
+    assert res.status == 0
+    return res
+
+
+def _lp_duals(model):
+    return -_cold_lp(model, model.lb, model.ub).ineqlin.marginals
 
 
 @pytest.mark.parametrize("case", ["tiny1", "tiny2", "fractional", "imbalance"])
@@ -317,18 +323,20 @@ def test_dual_bound_equals_integer_optimum(case, tiny1, tiny2):
     inst = {"tiny1": tiny1, "tiny2": tiny2, "fractional": _fractional_market(),
             "imbalance": random_flat_instance(8)}[case]
     model = build_model(inst)
-    assert _dual_bound(model, _lp_duals(model)) == solve_exact(model).allocation.objective
+    duals = _lp_duals(model)
+    assert _dual_bound(model, duals, model.lb, model.ub) == solve_exact(model).allocation.objective
 
 
 def test_dual_bound_refuses_unsound_multipliers():
     model = build_model(random_flat_instance(8))  # imbalance cost 10 per unit
     rows = model.A.shape[0]
     optimum = solve_exact(model).allocation.objective
-    assert _dual_bound(model, np.zeros(rows)) >= optimum  # any y >= 0 bounds the optimum
+    box = model.lb, model.ub
+    assert _dual_bound(model, np.zeros(rows), *box) >= optimum  # any y >= 0 bounds the optimum
     # 1000 on both rows of an imbalance column outweighs its cost of 10, so
     # the unbounded column would raise the bound without limit
-    assert _dual_bound(model, np.full(rows, 1000.0)) is None
-    assert _dual_bound(model, np.full(rows, 1e30)) is None  # int64 would overflow
+    assert _dual_bound(model, np.full(rows, 1000.0), *box) is None
+    assert _dual_bound(model, np.full(rows, 1e30), *box) is None  # int64 would overflow
 
 
 @pytest.mark.parametrize("case", ["one-cent-below", "invalid", "frozen-slot"])
@@ -364,8 +372,8 @@ def test_proof_names_the_rung():
     assert main.proof == "milp"
     rungs = []
 
-    def recording(instance, incumbent=None):
-        result = default_solver(instance, incumbent=incumbent)
+    def recording(instance, incumbent=None, without=None):
+        result = default_solver(instance, incumbent=incumbent, without=without)
         rungs.append((result.proof, result.nodes))
         return result
 
@@ -380,15 +388,63 @@ def test_integral_lp_point_below_bound_goes_to_milp(monkeypatch):
     best = solve_exact(model).allocation
     assigned = {**best.assigned, "d": None}
     schedule = frozenset(tr for tr in best.schedule if tr[0] != "d")
-    real_linprog = evmarket.allocator.linprog
+    real_run = _LpRelaxation.run
 
-    def short_point(*args, **kwargs):
-        res = real_linprog(*args, **kwargs)
-        res.x = np.zeros(model.n_vars)
-        res.x[[i for (aid, sid), i in model.phi_index.items() if assigned[aid] == sid]] = 1.0
-        res.x[[i for triple, i in model.charge_index.items() if triple in schedule]] = 1.0
-        return res
+    def short_point(self, time_limit):
+        _, y = real_run(self, time_limit)
+        x = np.zeros(model.n_vars)
+        x[[i for (aid, sid), i in model.phi_index.items() if assigned[aid] == sid]] = 1.0
+        x[[i for triple, i in model.charge_index.items() if triple in schedule]] = 1.0
+        return x, y
 
-    monkeypatch.setattr(evmarket.allocator, "linprog", short_point)
+    monkeypatch.setattr(_LpRelaxation, "run", short_point)
     result = solve_exact(model, incumbent=Allocation(assigned, schedule, best.objective - 1))
     assert (result.proof, result.allocation.objective) == ("milp", best.objective)
+
+
+def test_lp_relaxation_warm_runs_match_cold_linprog():
+    # the persistent HiGHS LP against a cold linprog on the same bounded
+    # arrays: the full market, one winner's columns zeroed, then restored
+    inst = generate(DESK, 1000)
+    model = build_model(inst)
+    winner = next(aid for aid, sid in solve_exact(model).allocation.assigned.items() if sid)
+    cols = np.array(model.columns[winner], dtype=np.int32)
+    lb, ub = model.lb.copy(), model.ub.copy()
+    lb[cols] = ub[cols] = 0.0
+    lp = _LpRelaxation(model)
+    first = model.c @ lp.run(7.0)[0]
+    assert first == pytest.approx(-_cold_lp(model, model.lb, model.ub).fun, abs=1e-6)
+    lp.set_bounds(cols, lb[cols], ub[cols])
+    x, y = lp.run(7.0)
+    assert np.all(x[cols] == 0.0) and np.all(y >= 0.0)
+    assert model.c @ x == pytest.approx(-_cold_lp(model, lb, ub).fun, abs=1e-6)
+    assert model.c @ x < first - 1
+    lp.set_bounds(cols, model.lb[cols], model.ub[cols])
+    assert model.c @ lp.run(7.0)[0] == pytest.approx(first, abs=1e-6)
+
+
+def test_solve_without_agent_matches_bruteforce(tiny1, tiny2):
+    # one model per market serves every agent's removal, with and without
+    # an incumbent (the empty allocation) to start the LP rungs from
+    for inst in [tiny1, tiny2, *(random_flat_instance(s) for s in range(50))]:
+        model = build_model(inst)
+        for req in inst.requests:
+            aid = req.ev.id
+            optimum = solve_bruteforce(drop_agent(inst, aid)).objective
+            empty = Allocation({}, frozenset(), evaluate_objective(inst, {}, frozenset()))
+            for incumbent in (None, empty):
+                result = solve_exact(model, incumbent=incumbent, without=aid)
+                assert (result.status, result.allocation.objective) == ("optimal", optimum)
+                assert result.allocation.assigned.get(aid) is None
+                assert validate_allocation(inst, result.allocation) == []
+
+
+def test_time_limited_solve_keeps_the_pins():
+    # the fallback when the clock runs out: every variable at its lower
+    # bound, which holds exactly the pins
+    inst = dataclasses.replace(generate(DESK, 1000), pinned=DESK30_PINS, frozen_before=6)
+    result = solve_exact(build_model(inst), time_limit=0.0)
+    assert result.status == "feasible_time_limited"
+    assert validate_allocation(inst, result.allocation) == []
+    assert {aid: result.allocation.assigned[aid] for aid in DESK30_PINS.assigned} == DESK30_PINS.assigned
+    assert DESK30_PINS.schedule <= result.allocation.schedule

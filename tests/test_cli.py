@@ -107,18 +107,18 @@ def test_online_command(tmp_path, tiny1_file):
 def test_time_limit_reaches_every_solve(tmp_path, tiny1_file, monkeypatch):
     limits, lp_limits = [], []
     real_solve_exact = evmarket.pricing.solve_exact
-    real_linprog = evmarket.allocator.linprog
+    real_run = evmarket.allocator._LpRelaxation.run
 
-    def recording_solve_exact(model, time_limit, incumbent=None):
+    def recording_solve_exact(model, time_limit, incumbent=None, without=None):
         limits.append(time_limit)
-        return real_solve_exact(model, time_limit, incumbent)
+        return real_solve_exact(model, time_limit, incumbent, without)
 
-    def recording_linprog(*args, options, **kwargs):
-        lp_limits.append(options["time_limit"])
-        return real_linprog(*args, options=options, **kwargs)
+    def recording_run(self, time_limit):
+        lp_limits.append(time_limit)
+        return real_run(self, time_limit)
 
     monkeypatch.setattr(evmarket.pricing, "solve_exact", recording_solve_exact)
-    monkeypatch.setattr(evmarket.allocator, "linprog", recording_linprog)
+    monkeypatch.setattr(evmarket.allocator._LpRelaxation, "run", recording_run)
     assert main(["solve", tiny1_file, "--mechanism", "vcg", "--time-limit", "7",
                  "--out", str(tmp_path / "solve")]) == 0
     assert len(limits) == 3  # the allocation plus one counterfactual per winner
@@ -158,8 +158,8 @@ def test_exp_command_writes_reports(tmp_path):
 def test_exp_exits_2_on_unproven_vcg_solve(tmp_path, monkeypatch, capsys):
     real_solver = evmarket.experiments.default_solver
 
-    def time_limited(instance, time_limit=None, incumbent=None):
-        return dataclasses.replace(real_solver(instance), status=STATUS_TIME_LIMITED)
+    def time_limited(instance, time_limit=None, incumbent=None, without=None):
+        return dataclasses.replace(real_solver(instance, without=without), status=STATUS_TIME_LIMITED)
 
     monkeypatch.setattr(evmarket.experiments, "default_solver", time_limited)
     out = tmp_path / "exp"

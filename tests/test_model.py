@@ -59,12 +59,6 @@ def test_instance_rejects_unknown_station(tiny1):
         dataclasses.replace(tiny1, requests=(bad_req,))
 
 
-def test_without_agent(tiny1):
-    rest = tiny1.without_agent("a1")
-    assert [r.ev.id for r in rest.requests] == ["a2"]
-    assert [e.id for e in rest.evs] == ["a2"]
-
-
 def test_instance_rejects_duplicate_ids(tiny1):
     import dataclasses
     with pytest.raises(ValueError, match="duplicate EV id 'a1'"):

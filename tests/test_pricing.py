@@ -1,13 +1,14 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 from evmarket import build_model, calibrate_incr, generate, price_coop, price_vcg, solve_exact
-from evmarket.allocator import STATUS_TIME_LIMITED, SolveResult
+from evmarket.allocator import STATUS_TIME_LIMITED, SolveResult, _LpRelaxation
 from evmarket.experiments import DESK, DESK_CONTESTED
 from evmarket.pricing import CounterfactualNotOptimal, NoBreakeven, _coop_price, default_solver
 
-from conftest import bf_solver, flat_instance, make_ev, make_station, random_flat_instance
+from conftest import bf_solver, drop_agent, flat_instance, make_ev, make_station, random_flat_instance
 
 
 def test_coop_price_markup():
@@ -92,7 +93,7 @@ def test_vcg_negative_payment_possible():
 def test_vcg_requires_proven_counterfactuals(tiny2):
     alloc = solve_exact(build_model(tiny2)).allocation
 
-    def flaky(instance, time_limit=None, incumbent=None):
+    def flaky(instance, time_limit=None, incumbent=None, without=None):
         return SolveResult(allocation=alloc, status=STATUS_TIME_LIMITED)
 
     with pytest.raises(CounterfactualNotOptimal):
@@ -143,9 +144,10 @@ def test_calibrate_incr_rejects_bad_step(tiny1):
         calibrate_incr([tiny1], step=0)
 
 
-def _rebuild_and_milp(instance, time_limit=None, incumbent=None):
-    """Every counterfactual through branch-and-cut, as without the LP rungs."""
-    return default_solver(instance)
+def _rebuild_and_milp(instance, time_limit=None, incumbent=None, without=None):
+    """Every counterfactual on its own model of the market without the
+    agent, through branch-and-cut alone: the reference for the LP rungs."""
+    return solve_exact(build_model(drop_agent(instance, without)))
 
 
 def _ladder_matches_milp(instance):
@@ -165,3 +167,59 @@ def test_vcg_ladder_matches_milp(params, seed):
 
 def test_vcg_ladder_matches_milp_random_flat():
     assert [s for s in range(200) if not _ladder_matches_milp(random_flat_instance(s))] == []
+
+
+def _on_model(model):
+    """A solver that prices every counterfactual on the given model."""
+    return lambda instance, **kwargs: solve_exact(model, **kwargs)
+
+
+def _assert_bounds_as_built(model, lb, ub):
+    assert np.array_equal(model.lb, lb) and np.array_equal(model.ub, ub)
+    session = model._lp.highs.getLp()
+    assert np.array_equal(session.col_lower_, lb) and np.array_equal(session.col_upper_, ub)
+
+
+@pytest.mark.parametrize("params, seed", [(DESK, 1000), (DESK_CONTESTED, 0)],
+                         ids=["desk30-1000", "contested-0"])
+def test_counterfactual_order_leaves_no_state(params, seed):
+    # the warm-started LP starts each counterfactual from the last one's
+    # basis; payments must not depend on which ran before
+    inst = generate(params, seed)
+    alloc = default_solver(inst).allocation
+    first = price_vcg(inst, alloc)
+    assert price_vcg(inst, alloc) == first
+    winners = sorted(first.charged)
+    assert price_vcg(inst, alloc, agent_ids=winners[::-1]) == price_vcg(inst, alloc, agent_ids=winners)
+    one_by_one = {aid: price_vcg(inst, alloc, agent_ids=[aid]).payments[aid]
+                  for aid in winners[::-1]}
+    assert one_by_one == {aid: first.payments[aid] for aid in winners}
+
+
+def test_model_after_pricing_is_the_parent():
+    inst = generate(DESK_CONTESTED, 0)
+    model = build_model(inst)
+    main = solve_exact(model)
+    lb, ub = model.lb.copy(), model.ub.copy()
+    price_vcg(inst, main.allocation, solver=_on_model(model))
+    assert solve_exact(model).allocation == main.allocation
+    _assert_bounds_as_built(model, lb, ub)
+
+
+def test_raising_counterfactual_restores_bounds(monkeypatch):
+    inst = generate(DESK, 1000)
+    model = build_model(inst)
+    main = solve_exact(model)
+    lb, ub = model.lb.copy(), model.ub.copy()
+    real_run, runs = _LpRelaxation.run, []
+
+    def fails_third(self, time_limit):
+        runs.append(time_limit)
+        if len(runs) == 3:
+            raise RuntimeError("HiGHS failed")
+        return real_run(self, time_limit)
+
+    monkeypatch.setattr(_LpRelaxation, "run", fails_third)
+    with pytest.raises(RuntimeError, match="HiGHS failed"):
+        price_vcg(inst, main.allocation, solver=_on_model(model))
+    _assert_bounds_as_built(model, lb, ub)

@@ -127,6 +127,12 @@ def test_routed_requests():
     assert acc.valuation == 300 - 16
 
 
+def test_station_off_the_network_is_named():
+    st = dataclasses.replace(make_station("L1"), location=9)
+    with pytest.raises(ValueError, match="station L1 is at location 9, not a network node"):
+        build_requests(line_network(), [make_ev("a1", demand=1, valuation=300)], [st], TimeGrid(8))
+
+
 def test_routed_unreachable_battery():
     net = line_network()
     st = make_station("L1")
