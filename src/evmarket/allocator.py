@@ -9,8 +9,8 @@ Pinned commitments are checked with validate_allocation, the same rules
 that judge any allocation; build_model raises InfeasiblePin naming every
 violation instead of building a model around a bad pin.
 
-solve_exact hands the model to HiGHS branch-and-cut (scipy's milp) with a
-zero MIP gap.  The solution is re-evaluated in exact integer arithmetic
+solve_exact runs every solve on one HiGHS session per model, branch-and-cut
+with a zero MIP gap.  The solution is re-evaluated in exact integer arithmetic
 (evaluate_objective, whose imbalance term is model.imbalance_cost) so that
 reported optima are bit-reproducible and comparable across counterfactual
 solves.  Given a known feasible allocation (the incumbent), solve_exact
@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.optimize._highspy import _core  # private; tested on scipy 1.17
 
 from .model import Allocation, Instance, Money, imbalance_cost
@@ -60,11 +60,17 @@ class IpModel:
     lb: np.ndarray
     ub: np.ndarray
     is_binary: np.ndarray
-    _lp: Optional["_LpRelaxation"] = field(default=None, init=False, repr=False, compare=False)
+    _session: Optional["_Session"] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_vars(self) -> int:
         return len(self.c)
+
+    @cached_property
+    def _transposes(self) -> Optional[tuple[sparse.csc_matrix, sparse.csc_matrix]]:
+        """abs(A)^T and int64 A^T for _dual_bound; None unless c, b and A are integral."""
+        integral = all(np.array_equal(v, np.trunc(v)) for v in (self.c, self.b, self.A.data))
+        return (abs(self.A).T, self.A.T.astype(np.int64)) if integral else None
 
 
 @dataclass(frozen=True)
@@ -229,10 +235,10 @@ def _allocation_from_x(model: IpModel, x: np.ndarray) -> Allocation:
     return Allocation(assigned=assigned, schedule=schedule, objective=obj)
 
 
-class _LpRelaxation:
-    """A model's LP relaxation, passed once to one persistent HiGHS instance
-    (scipy's private bindings).  Changing column bounds keeps HiGHS's basis,
-    so every run after the first warm-starts from the last one."""
+class _Session:
+    """The one HiGHS instance (scipy's private bindings) that runs every exact
+    solve on a model, passed once with its binaries integral and a zero MIP gap.
+    Changing column bounds keeps HiGHS's basis, so an LP run warm-starts from the last."""
 
     def __init__(self, model: IpModel):
         A = model.A.tocsc()
@@ -242,22 +248,27 @@ class _LpRelaxation:
         lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = A.indptr, A.indices, A.data
         lp.col_cost_, lp.col_lower_, lp.col_upper_ = -model.c, model.lb, model.ub
         lp.row_lower_, lp.row_upper_ = np.full(len(model.b), -np.inf), model.b
+        lp.integrality_ = np.where(model.is_binary, _core.HighsVarType.kInteger, _core.HighsVarType.kContinuous)
         self.highs = _core._Highs()
         self.highs.setOptionValue("output_flag", False)
+        self.highs.setOptionValue("mip_rel_gap", 0.0)
         self.highs.passModel(lp)  # a model that fails to load fails every run()
 
     def set_bounds(self, cols: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> None:
         self.highs.changeColsBounds(len(cols), cols, lb, ub)
 
-    def run(self, time_limit: float) -> Optional[tuple[np.ndarray, np.ndarray]]:
-        """The LP point x and its row multipliers y >= 0, or None unless
-        HiGHS proves the relaxation optimal within time_limit."""
+    def run(self, time_limit: float, relaxation: bool) -> tuple:
+        """(model status, x, row multipliers y >= 0, info) of the LP relaxation or of
+        branch-and-cut, which starts from a cleared solver: it takes a fresh
+        HiGHS's path and so lands on the same optimum among ties."""
         self.highs.setOptionValue("time_limit", float(time_limit))
+        self.highs.setOptionValue("solve_relaxation", relaxation)
+        if not relaxation:
+            self.highs.clearSolver()
         self.highs.run()
-        if self.highs.getModelStatus() != _core.HighsModelStatus.kOptimal:
-            return None
         solution = self.highs.getSolution()
-        return np.array(solution.col_value), -np.array(solution.row_dual)
+        return (self.highs.getModelStatus(), np.array(solution.col_value),
+                -np.array(solution.row_dual), self.highs.getInfo())
 
 
 def _dual_bound(model: IpModel, y: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> Optional[int]:
@@ -274,16 +285,16 @@ def _dual_bound(model: IpModel, y: np.ndarray, lb: np.ndarray, ub: np.ndarray) -
     """
     lo_open, hi_open = ~np.isfinite(lb), ~np.isfinite(ub)
     lo, hi = np.where(lo_open, 0.0, lb), np.where(hi_open, 0.0, ub)
-    if any(not np.array_equal(v, np.trunc(v)) for v in (model.c, model.b, model.A.data, lo, hi)):
+    if model._transposes is None or any(not np.array_equal(v, np.trunc(v)) for v in (lo, hi)):
         return None
     yq = np.floor(np.maximum(y, 0.0) * DUAL_GRID)
     # every partial sum below is at most this sum of absolute values
-    column = DUAL_GRID * np.abs(model.c) + abs(model.A).T @ yq
+    column = DUAL_GRID * np.abs(model.c) + model._transposes[0] @ yq
     magnitude = np.abs(model.b) @ yq + column @ np.maximum(np.maximum(-lo, hi), 1.0)
     if not magnitude < 2.0**62:
         return None
     yq = yq.astype(np.int64)
-    reduced = DUAL_GRID * model.c.astype(np.int64) - model.A.T.astype(np.int64) @ yq
+    reduced = DUAL_GRID * model.c.astype(np.int64) - model._transposes[1] @ yq
     if np.any((reduced > 0) & hi_open) or np.any((reduced < 0) & lo_open):
         return None
     best = np.where(reduced > 0, hi, lo).astype(np.int64)
@@ -307,21 +318,15 @@ def _is_model_point(model: IpModel, allocation: Allocation, lb: np.ndarray, ub: 
     return not validate_allocation(model.instance, allocation)
 
 
-def _prove_by_lp(model: IpModel, lb: np.ndarray, ub: np.ndarray, cols: np.ndarray,
-                 incumbent: Allocation, time_limit: float) -> Optional[tuple[Allocation, str]]:
+def _prove_by_lp(model: IpModel, lb: np.ndarray, ub: np.ndarray, incumbent: Allocation,
+                 time_limit: float) -> Optional[tuple[Allocation, str]]:
     """The incumbent ("lp-bound") or the LP relaxation's point when its
     binaries are integral ("lp-integral"), once its exact welfare equals the
-    exact dual bound of the relaxation within lb, ub; None when neither is
-    proven.  The columns cols take their bounds in lb, ub for this run only."""
-    model._lp = model._lp or _LpRelaxation(model)
-    model._lp.set_bounds(cols, lb[cols], ub[cols])
-    try:
-        solution = model._lp.run(time_limit)
-    finally:
-        model._lp.set_bounds(cols, model.lb[cols], model.ub[cols])
-    if solution is None or (bound := _dual_bound(model, solution[1], lb, ub)) is None:
+    exact dual bound of the relaxation within lb, ub, the bounds the
+    model's session holds; None when neither is proven."""
+    status, x, y, _ = model._session.run(time_limit, relaxation=True)
+    if status != _core.HighsModelStatus.kOptimal or (bound := _dual_bound(model, y, lb, ub)) is None:
         return None
-    x = solution[0]
     if _is_model_point(model, incumbent, lb, ub):  # so evaluate_objective knows every id
         welfare = evaluate_objective(model.instance, incumbent.assigned, incumbent.schedule)
         if welfare == bound:
@@ -338,17 +343,17 @@ def solve_exact(model: IpModel, time_limit: float = DEFAULT_TIME_LIMIT,
                 incumbent: Optional[Allocation] = None, without: Optional[str] = None) -> SolveResult:
     """Solve the 0-1 program to proven optimality.
 
-    HiGHS branch-and-cut runs with a zero MIP gap; its solution is
-    re-evaluated in exact integer arithmetic.  Deterministic for a fixed
-    input; reports feasible_time_limited when the clock runs out before the
-    proof.
+    Every run goes to the model's one HiGHS session.  Branch-and-cut runs
+    with a zero MIP gap; its solution is re-evaluated in exact integer
+    arithmetic.  Deterministic for a fixed input; reports
+    feasible_time_limited when the clock runs out before the proof.
 
-    without names an agent whose columns are fixed to 0: a VCG counterfactual
-    solves the market without its winner on this model, with the priced
-    allocation less the winner as incumbent.  Given an incumbent, the LP
-    relaxation runs first and branch-and-cut only when _prove_by_lp proves
-    neither the incumbent nor the LP point; both share time_limit.  Without
-    one, the solve is branch-and-cut alone.
+    without names an agent whose columns are fixed to 0 for this solve: a
+    VCG counterfactual solves the market without its winner on this model,
+    with the priced allocation less the winner as incumbent.  Given an
+    incumbent, the LP relaxation runs first and branch-and-cut only when
+    _prove_by_lp proves neither the incumbent nor the LP point; both share
+    time_limit.  Without one, the solve is branch-and-cut alone.
     """
     start = time.monotonic()
     cols = np.array(model.columns[without] if without is not None else [], dtype=np.int32)
@@ -356,37 +361,34 @@ def solve_exact(model: IpModel, time_limit: float = DEFAULT_TIME_LIMIT,
     lb[cols] = ub[cols] = 0.0
     if model.n_vars == 0:
         return SolveResult(_allocation_from_x(model, lb), STATUS_OPTIMAL, 0, time.monotonic() - start)
-    if incumbent is not None:
-        proven = _prove_by_lp(model, lb, ub, cols, incumbent, time_limit)
-        if proven is not None:
-            return SolveResult(proven[0], STATUS_OPTIMAL, 0, time.monotonic() - start, proven[1])
-        time_limit = max(0.0, time_limit - (time.monotonic() - start))
-    res = milp(
-        -model.c,
-        constraints=LinearConstraint(model.A, -np.inf, model.b),
-        integrality=model.is_binary.astype(int),
-        bounds=Bounds(lb, ub),
-        options={"mip_rel_gap": 0.0, "time_limit": time_limit},
-    )
+    model._session = model._session or _Session(model)
+    model._session.set_bounds(cols, lb[cols], ub[cols])
+    try:
+        if incumbent is not None:
+            proven = _prove_by_lp(model, lb, ub, incumbent, time_limit)
+            if proven is not None:
+                return SolveResult(proven[0], STATUS_OPTIMAL, 0, time.monotonic() - start, proven[1])
+            time_limit = max(0.0, time_limit - (time.monotonic() - start))
+        status, x, _, info = model._session.run(time_limit, relaxation=False)
+    finally:
+        model._session.set_bounds(cols, model.lb[cols], model.ub[cols])
     runtime = time.monotonic() - start
-    nodes = int(getattr(res, "mip_node_count", 0) or 0)
-    if res.status == 2:
+    if status == _core.HighsModelStatus.kInfeasible:
         raise Infeasible("model infeasible: contradictory pinned commitments")
-    if res.status == 1:  # hit the time limit
+    if status == _core.HighsModelStatus.kTimeLimit:
         baseline = _allocation_from_x(model, lb)  # every variable at its lower bound: the pins alone
-        if res.x is not None:
-            cand = _allocation_from_x(model, np.round(res.x))
+        if np.isfinite(info.objective_function_value):  # HiGHS holds a feasible point
+            cand = _allocation_from_x(model, np.round(x))
             if cand.objective > baseline.objective:
                 baseline = cand
-        return SolveResult(baseline, STATUS_TIME_LIMITED, nodes, runtime)
-    if res.status != 0 or res.x is None:
-        raise RuntimeError(f"MILP solve failed with status {res.status}: {res.message}")
-    allocation = _allocation_from_x(model, np.round(res.x))
-    if abs(-res.fun - allocation.objective) >= 0.5:
-        raise RuntimeError(
-            f"solver objective {-res.fun} drifted from exact evaluation {allocation.objective}"
-        )
-    return SolveResult(allocation, STATUS_OPTIMAL, nodes, runtime)
+        return SolveResult(baseline, STATUS_TIME_LIMITED, info.mip_node_count, runtime)
+    if status != _core.HighsModelStatus.kOptimal:
+        raise RuntimeError(f"MILP solve failed with status {status}")
+    allocation = _allocation_from_x(model, np.round(x))
+    if abs(-info.objective_function_value - allocation.objective) >= 0.5:
+        raise RuntimeError(f"solver objective {-info.objective_function_value} drifted "
+                           f"from exact evaluation {allocation.objective}")
+    return SolveResult(allocation, STATUS_OPTIMAL, info.mip_node_count, runtime)
 
 
 def validate_allocation(instance: Instance, allocation: Allocation) -> list[Violation]:

@@ -166,7 +166,8 @@ def solve_bruteforce(instance: Instance) -> Allocation:
             }
             best_schedule = frozenset(schedule)
 
-    assert best_obj is not None  # the all-None assignment is always feasible
-    check = evaluate_objective(instance, best_assigned, best_schedule)
-    assert check == best_obj, "oracle bookkeeping disagrees with the objective formula"
+    if best_obj is None:  # the all-None assignment is always feasible
+        raise RuntimeError("oracle found no feasible assignment")
+    if evaluate_objective(instance, best_assigned, best_schedule) != best_obj:
+        raise RuntimeError("oracle bookkeeping disagrees with the objective formula")
     return Allocation(assigned=best_assigned, schedule=best_schedule, objective=best_obj)

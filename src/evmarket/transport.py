@@ -130,8 +130,8 @@ def request_builder(
 
     With network=None ("flat mode") all drive distances are zero and the time
     cost comes from each EV's explicit time_cost field.  Otherwise Dijkstra
-    runs once per station location, and a location that is not a network
-    node raises ValueError.
+    runs once per station location, and a station or EV location that is
+    not a network node raises ValueError.
     """
     horizon = time_grid.horizon_len
     if network is not None:
@@ -141,6 +141,10 @@ def request_builder(
         tables = distances_km(network, {st.location for st in stations})
 
     def build(ev: EvType) -> EvRequest:
+        if network is not None:
+            for name in ("start_location", "end_location"):
+                if (node := getattr(ev, name)) not in network.nodes:
+                    raise ValueError(f"EV {ev.id} has {name} {node}, not a network node")
         per_station: dict[str, StationAccess] = {}
         for st in stations:
             if network is None:

@@ -1,10 +1,12 @@
 import dataclasses
 import random
 
+import numpy as np
 import pytest
+from scipy.optimize import Bounds, LinearConstraint, milp
 
-from evmarket import EvType, Instance, Station, TimeGrid, build_requests, solve_bruteforce
-from evmarket.allocator import STATUS_OPTIMAL, STATUS_TIME_LIMITED, SolveResult
+from evmarket import EvType, Instance, Station, TimeGrid, build_requests, solve_bruteforce, solve_exact
+from evmarket.allocator import STATUS_OPTIMAL, STATUS_TIME_LIMITED, SolveResult, _allocation_from_x
 
 
 def flat_instance(stations, evs, imbalance_unit_cost=0, horizon=4):
@@ -146,3 +148,18 @@ def unproven_full_market_solver(n_agents):
         status = STATUS_TIME_LIMITED if len(market.requests) == n_agents else STATUS_OPTIMAL
         return SolveResult(allocation=solve_bruteforce(market), status=status)
     return solve
+
+
+def milp_allocation(model):
+    """scipy's milp, a HiGHS instance of its own, on the model's arrays with
+    a zero gap: the reference that the model's session must reproduce."""
+    res = milp(-model.c, constraints=LinearConstraint(model.A, -np.inf, model.b),
+               integrality=model.is_binary.astype(int), bounds=Bounds(model.lb, model.ub),
+               options={"mip_rel_gap": 0.0})
+    assert res.status == 0, res.message
+    return _allocation_from_x(model, np.round(res.x))
+
+
+def on_model(model):
+    """A solver that prices every counterfactual on the given model."""
+    return lambda instance, **kwargs: solve_exact(model, **kwargs)

@@ -15,11 +15,13 @@ from evmarket import (
     solve_exact,
     validate_allocation,
 )
-from evmarket.allocator import InfeasiblePin, _dual_bound, _LpRelaxation, evaluate_objective
-from evmarket.experiments import DESK
+from evmarket.allocator import Infeasible, InfeasiblePin, _dual_bound, _Session, evaluate_objective
+from evmarket.experiments import DESK, DESK_CONTESTED
 from evmarket.pricing import default_solver
 
-from conftest import drop_agent, flat_instance, make_ev, make_station, random_flat_instance
+from conftest import (
+    drop_agent, flat_instance, make_ev, make_station, milp_allocation, on_model, random_flat_instance,
+)
 
 
 def test_tiny1_objective(tiny1):
@@ -91,16 +93,46 @@ def test_engines_agree(seed):
 
 
 def test_objective_drift_raises(tiny1, monkeypatch):
-    real_milp = evmarket.allocator.milp
+    real_run = _Session.run
 
-    def off_by_one_cent(*args, **kwargs):
-        res = real_milp(*args, **kwargs)
-        res.fun += 1.0
-        return res
+    def off_by_one_cent(self, time_limit, relaxation):
+        status, x, y, info = real_run(self, time_limit, relaxation)
+        info.objective_function_value += 1.0
+        return status, x, y, info
 
-    monkeypatch.setattr(evmarket.allocator, "milp", off_by_one_cent)
+    monkeypatch.setattr(_Session, "run", off_by_one_cent)
     with pytest.raises(RuntimeError, match="drifted"):
         solve_exact(build_model(tiny1))
+
+
+def test_infeasible_model_raises(tiny1):
+    model = build_model(tiny1)
+    model.b[0] = -1.0  # a1's one-station row: its assignments sum to at most -1
+    with pytest.raises(Infeasible):
+        solve_exact(model)
+
+
+REFERENCE_MARKETS = [
+    *((DESK, s) for s in range(1000, 1020)),
+    *((DESK_CONTESTED, s) for s in range(10)),
+    (dataclasses.replace(DESK, n_evs=60), 2),
+]
+
+
+@pytest.mark.parametrize(
+    "params, seed", REFERENCE_MARKETS,
+    ids=[f"{'contested' if p is DESK_CONTESTED else f'desk{p.n_evs}'}-{s}" for p, s in REFERENCE_MARKETS],
+)
+def test_session_matches_scipy_milp(params, seed):
+    # branch-and-cut on the model's session against scipy's milp on the same
+    # arrays: on a fresh session, and again after every counterfactual of
+    # price_vcg has run its LP and branch-and-cut runs on that session
+    inst = generate(params, seed)
+    model = build_model(inst)
+    reference = milp_allocation(model)
+    assert solve_exact(model).allocation == reference
+    price_vcg(inst, reference, solver=on_model(model))
+    assert solve_exact(model).allocation == reference
 
 
 def test_evaluate_objective_matches_solver(tiny1):
@@ -357,7 +389,10 @@ def test_unproven_incumbent_goes_to_milp(case):
     welfare = evaluate_objective(inst, assigned, schedule)
     assert welfare == best.objective - (case == "one-cent-below")
     assert (validate_allocation(inst, Allocation(assigned, schedule, welfare)) == []) == (case != "invalid")
-    result = solve_exact(model, incumbent=Allocation(assigned, schedule, welfare))
+    # on a fresh model: the relaxation of the unfrozen market has fractional
+    # binaries, while after the main solve's branch-and-cut its LP run
+    # warm-starts onto an integral vertex of the same value
+    result = solve_exact(build_model(inst), incumbent=Allocation(assigned, schedule, welfare))
     # the frozen market's relaxation is integral, so its LP point is proven instead
     rung = "lp-integral" if case == "frozen-slot" else "milp"
     assert (result.status, result.proof, result.allocation.objective) == (
@@ -388,39 +423,45 @@ def test_integral_lp_point_below_bound_goes_to_milp(monkeypatch):
     best = solve_exact(model).allocation
     assigned = {**best.assigned, "d": None}
     schedule = frozenset(tr for tr in best.schedule if tr[0] != "d")
-    real_run = _LpRelaxation.run
+    real_run = _Session.run
 
-    def short_point(self, time_limit):
-        _, y = real_run(self, time_limit)
-        x = np.zeros(model.n_vars)
-        x[[i for (aid, sid), i in model.phi_index.items() if assigned[aid] == sid]] = 1.0
-        x[[i for triple, i in model.charge_index.items() if triple in schedule]] = 1.0
-        return x, y
+    def short_point(self, time_limit, relaxation):
+        status, x, y, info = real_run(self, time_limit, relaxation)
+        if relaxation:
+            x = np.zeros(model.n_vars)
+            x[[i for (aid, sid), i in model.phi_index.items() if assigned[aid] == sid]] = 1.0
+            x[[i for triple, i in model.charge_index.items() if triple in schedule]] = 1.0
+        return status, x, y, info
 
-    monkeypatch.setattr(_LpRelaxation, "run", short_point)
+    monkeypatch.setattr(_Session, "run", short_point)
     result = solve_exact(model, incumbent=Allocation(assigned, schedule, best.objective - 1))
     assert (result.proof, result.allocation.objective) == ("milp", best.objective)
 
 
 def test_lp_relaxation_warm_runs_match_cold_linprog():
-    # the persistent HiGHS LP against a cold linprog on the same bounded
-    # arrays: the full market, one winner's columns zeroed, then restored
+    # the session's LP runs against a cold linprog on the same bounded
+    # arrays: the full market, then branch-and-cut and the LP with one
+    # winner's columns zeroed, then the full market again
     inst = generate(DESK, 1000)
     model = build_model(inst)
-    winner = next(aid for aid, sid in solve_exact(model).allocation.assigned.items() if sid)
+    main = solve_exact(model).allocation
+    winner = next(aid for aid, sid in main.assigned.items() if sid)
     cols = np.array(model.columns[winner], dtype=np.int32)
     lb, ub = model.lb.copy(), model.ub.copy()
     lb[cols] = ub[cols] = 0.0
-    lp = _LpRelaxation(model)
-    first = model.c @ lp.run(7.0)[0]
+    session = _Session(model)
+    first = model.c @ session.run(7.0, relaxation=True)[1]
     assert first == pytest.approx(-_cold_lp(model, model.lb, model.ub).fun, abs=1e-6)
-    lp.set_bounds(cols, lb[cols], ub[cols])
-    x, y = lp.run(7.0)
+    session.set_bounds(cols, lb[cols], ub[cols])
+    status, x, _, info = session.run(7.0, relaxation=False)
+    assert status == evmarket.allocator._core.HighsModelStatus.kOptimal and np.all(x[cols] == 0.0)
+    assert -info.objective_function_value < main.objective
+    status, x, y, _ = session.run(7.0, relaxation=True)
     assert np.all(x[cols] == 0.0) and np.all(y >= 0.0)
     assert model.c @ x == pytest.approx(-_cold_lp(model, lb, ub).fun, abs=1e-6)
     assert model.c @ x < first - 1
-    lp.set_bounds(cols, model.lb[cols], model.ub[cols])
-    assert model.c @ lp.run(7.0)[0] == pytest.approx(first, abs=1e-6)
+    session.set_bounds(cols, model.lb[cols], model.ub[cols])
+    assert model.c @ session.run(7.0, relaxation=True)[1] == pytest.approx(first, abs=1e-6)
 
 
 def test_solve_without_agent_matches_bruteforce(tiny1, tiny2):

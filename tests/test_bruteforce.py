@@ -1,5 +1,6 @@
 import pytest
 
+import evmarket.bruteforce
 from evmarket import build_model, solve_bruteforce, solve_exact, validate_allocation
 from evmarket.bruteforce import TooLarge
 
@@ -41,6 +42,13 @@ def test_guard_rails():
     )
     with pytest.raises(TooLarge):
         solve_bruteforce(long_horizon)
+
+
+def test_bookkeeping_check_raises(tiny1, monkeypatch):
+    # a RuntimeError, not an assert, so the check also runs under python -O
+    monkeypatch.setattr(evmarket.bruteforce, "evaluate_objective", lambda *args: -1)
+    with pytest.raises(RuntimeError, match="bookkeeping"):
+        solve_bruteforce(tiny1)
 
 
 @pytest.mark.parametrize("seed", range(40))

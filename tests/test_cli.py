@@ -105,20 +105,20 @@ def test_online_command(tmp_path, tiny1_file):
 
 
 def test_time_limit_reaches_every_solve(tmp_path, tiny1_file, monkeypatch):
-    limits, lp_limits = [], []
+    limits, runs = [], []
     real_solve_exact = evmarket.pricing.solve_exact
-    real_run = evmarket.allocator._LpRelaxation.run
+    real_run = evmarket.allocator._Session.run
 
     def recording_solve_exact(model, time_limit, incumbent=None, without=None):
         limits.append(time_limit)
         return real_solve_exact(model, time_limit, incumbent, without)
 
-    def recording_run(self, time_limit):
-        lp_limits.append(time_limit)
-        return real_run(self, time_limit)
+    def recording_run(self, time_limit, relaxation):
+        runs.append(("lp" if relaxation else "milp", time_limit))
+        return real_run(self, time_limit, relaxation)
 
     monkeypatch.setattr(evmarket.pricing, "solve_exact", recording_solve_exact)
-    monkeypatch.setattr(evmarket.allocator._LpRelaxation, "run", recording_run)
+    monkeypatch.setattr(evmarket.allocator._Session, "run", recording_run)
     assert main(["solve", tiny1_file, "--mechanism", "vcg", "--time-limit", "7",
                  "--out", str(tmp_path / "solve")]) == 0
     assert len(limits) == 3  # the allocation plus one counterfactual per winner
@@ -130,8 +130,11 @@ def test_time_limit_reaches_every_solve(tmp_path, tiny1_file, monkeypatch):
                  "--n-instances", "2", "--time-limit", "7"]) == 0
     assert len(limits) == 8  # one allocation solve per instance of the family
     assert set(limits) == {7.0}
-    # each VCG counterfactual (two in solve, two in online) starts with the LP
-    assert lp_limits == [7.0] * 4
+    # every HiGHS run: branch-and-cut for each allocation (solve, the online
+    # clearing, two in calibrate-incr) and the LP that proves each VCG
+    # counterfactual (two in solve, two in online)
+    solve_runs = [("milp", 7.0), ("lp", 7.0), ("lp", 7.0)]
+    assert runs == solve_runs * 2 + [("milp", 7.0)] * 2
 
 
 def test_calibrate_incr_command(tmp_path, capsys):

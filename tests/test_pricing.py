@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from evmarket import build_model, calibrate_incr, generate, price_coop, price_vcg, solve_exact
-from evmarket.allocator import STATUS_TIME_LIMITED, SolveResult, _LpRelaxation
+from evmarket.allocator import STATUS_OPTIMAL, STATUS_TIME_LIMITED, SolveResult, _Session
 from evmarket.experiments import DESK, DESK_CONTESTED
 from evmarket.pricing import CounterfactualNotOptimal, NoBreakeven, _coop_price, default_solver
 
-from conftest import bf_solver, drop_agent, flat_instance, make_ev, make_station, random_flat_instance
+from conftest import (
+    bf_solver, drop_agent, flat_instance, make_ev, make_station, milp_allocation, on_model,
+    random_flat_instance,
+)
 
 
 def test_coop_price_markup():
@@ -146,8 +149,8 @@ def test_calibrate_incr_rejects_bad_step(tiny1):
 
 def _rebuild_and_milp(instance, time_limit=None, incumbent=None, without=None):
     """Every counterfactual on its own model of the market without the
-    agent, through branch-and-cut alone: the reference for the LP rungs."""
-    return solve_exact(build_model(drop_agent(instance, without)))
+    agent, through scipy's milp alone: the reference for the session's rungs."""
+    return SolveResult(milp_allocation(build_model(drop_agent(instance, without))), STATUS_OPTIMAL)
 
 
 def _ladder_matches_milp(instance):
@@ -169,14 +172,9 @@ def test_vcg_ladder_matches_milp_random_flat():
     assert [s for s in range(200) if not _ladder_matches_milp(random_flat_instance(s))] == []
 
 
-def _on_model(model):
-    """A solver that prices every counterfactual on the given model."""
-    return lambda instance, **kwargs: solve_exact(model, **kwargs)
-
-
 def _assert_bounds_as_built(model, lb, ub):
     assert np.array_equal(model.lb, lb) and np.array_equal(model.ub, ub)
-    session = model._lp.highs.getLp()
+    session = model._session.highs.getLp()
     assert np.array_equal(session.col_lower_, lb) and np.array_equal(session.col_upper_, ub)
 
 
@@ -196,30 +194,38 @@ def test_counterfactual_order_leaves_no_state(params, seed):
     assert one_by_one == {aid: first.payments[aid] for aid in winners}
 
 
-def test_model_after_pricing_is_the_parent():
-    inst = generate(DESK_CONTESTED, 0)
+@pytest.mark.parametrize("params, seed", [(DESK, 1001), (DESK_CONTESTED, 0), (DESK_CONTESTED, 3)],
+                         ids=["desk30-1001", "contested-0", "contested-3"])
+def test_model_after_pricing_is_the_parent(params, seed):
+    # after the counterfactuals' LP and branch-and-cut runs, the main solve
+    # lands on the same optimum among ties as on a fresh session
+    inst = generate(params, seed)
     model = build_model(inst)
     main = solve_exact(model)
     lb, ub = model.lb.copy(), model.ub.copy()
-    price_vcg(inst, main.allocation, solver=_on_model(model))
+    price_vcg(inst, main.allocation, solver=on_model(model))
     assert solve_exact(model).allocation == main.allocation
     _assert_bounds_as_built(model, lb, ub)
 
 
-def test_raising_counterfactual_restores_bounds(monkeypatch):
-    inst = generate(DESK, 1000)
+@pytest.mark.parametrize("params, seed, failing", [(DESK, 1000, True), (DESK_CONTESTED, 0, False)],
+                         ids=["lp-run", "branch-and-cut-run"])
+def test_raising_counterfactual_restores_bounds(params, seed, failing, monkeypatch):
+    # the third LP run (desk-30) or branch-and-cut run (contested) raises
+    inst = generate(params, seed)
     model = build_model(inst)
     main = solve_exact(model)
     lb, ub = model.lb.copy(), model.ub.copy()
-    real_run, runs = _LpRelaxation.run, []
+    real_run, runs = _Session.run, []
 
-    def fails_third(self, time_limit):
-        runs.append(time_limit)
-        if len(runs) == 3:
+    def fails_third(self, time_limit, relaxation):
+        runs.append(relaxation)
+        if runs.count(failing) == 3:
             raise RuntimeError("HiGHS failed")
-        return real_run(self, time_limit)
+        return real_run(self, time_limit, relaxation)
 
-    monkeypatch.setattr(_LpRelaxation, "run", fails_third)
+    monkeypatch.setattr(_Session, "run", fails_third)
     with pytest.raises(RuntimeError, match="HiGHS failed"):
-        price_vcg(inst, main.allocation, solver=_on_model(model))
+        price_vcg(inst, main.allocation, solver=on_model(model))
+    assert runs[-1] == failing
     _assert_bounds_as_built(model, lb, ub)

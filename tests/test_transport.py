@@ -133,6 +133,14 @@ def test_station_off_the_network_is_named():
         build_requests(line_network(), [make_ev("a1", demand=1, valuation=300)], [st], TimeGrid(8))
 
 
+@pytest.mark.parametrize("field", ["start_location", "end_location"])
+def test_ev_off_the_network_is_named(field):
+    st = dataclasses.replace(make_station("L1"), location=2)
+    ev = dataclasses.replace(make_ev("a1", demand=1, valuation=300), **{field: 9})
+    with pytest.raises(ValueError, match=f"EV a1 has {field} 9, not a network node"):
+        build_requests(line_network(), [ev], [st], TimeGrid(8))
+
+
 def test_routed_unreachable_battery():
     net = line_network()
     st = make_station("L1")
