@@ -21,16 +21,44 @@ VCG counterfactual fixes one agent's columns to 0 on the market's model.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import ModuleType
 from typing import Optional
 
 import numpy as np
+import scipy
 from scipy import sparse
-from scipy.optimize._highspy import _core  # private; tested on scipy 1.17
 
 from .model import Allocation, Instance, Money, imbalance_cost
+
+
+def _load_highs() -> ModuleType:
+    """scipy's private HiGHS bindings (tested on scipy 1.17), loaded from
+    their own file so that scipy.optimize's package __init__ never runs.  The
+    module is registered under its scipy name, so a later import of
+    scipy.optimize finds this same module, and one imported earlier is reused."""
+    name = "scipy.optimize._highspy._core"
+    if name in sys.modules:
+        return sys.modules[name]
+    folder = os.path.join(scipy.__path__[0], "optimize", "_highspy")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(folder, "_core" + suffix)
+        if os.path.isfile(path):
+            spec = importlib.util.spec_from_file_location(name, path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules[name] = module
+            return module
+    raise ImportError(f"scipy's HiGHS bindings (_core) are not in {folder}; evmarket needs scipy>=1.17")
+
+
+_core = _load_highs()
 
 STATUS_OPTIMAL = "optimal"
 STATUS_TIME_LIMITED = "feasible_time_limited"
@@ -260,15 +288,22 @@ class _Session:
     def run(self, time_limit: float, relaxation: bool) -> tuple:
         """(model status, x, row multipliers y >= 0, info) of the LP relaxation or of
         branch-and-cut, which starts from a cleared solver: it takes a fresh
-        HiGHS's path and so lands on the same optimum among ties."""
+        HiGHS's path and so lands on the same optimum among ties.  The LP basis
+        held before branch-and-cut is put back after it, so the next LP run
+        still warm-starts from the last LP."""
         self.highs.setOptionValue("time_limit", float(time_limit))
         self.highs.setOptionValue("solve_relaxation", relaxation)
+        basis = None
         if not relaxation:
+            basis = self.highs.getBasis()  # a copy, which clearSolver leaves alone
             self.highs.clearSolver()
         self.highs.run()
         solution = self.highs.getSolution()
-        return (self.highs.getModelStatus(), np.array(solution.col_value),
-                -np.array(solution.row_dual), self.highs.getInfo())
+        result = (self.highs.getModelStatus(), np.array(solution.col_value),
+                  -np.array(solution.row_dual), self.highs.getInfo())
+        if basis is not None and basis.valid:
+            self.highs.setBasis(basis)
+        return result
 
 
 def _dual_bound(model: IpModel, y: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> Optional[int]:

@@ -23,8 +23,6 @@ from dataclasses import replace
 from functools import partial
 from typing import Optional
 
-from scipy import stats as scipy_stats
-
 from .allocator import DEFAULT_TIME_LIMIT
 from .model import Instance, Money
 from .online import ClearingSchedule, run_online
@@ -330,12 +328,15 @@ def run_exp4(
                            "liar_mean_utility_lying", "delta",
                            "liars_charged_truthful", "liars_charged_lying",
                            "status_truthful", "status_lying"], per_rep)
+    # imported here, not at module level, so that no other command loads scipy.stats
+    from scipy import stats
+
     agg_rows = []
     for mech in MECHANISMS:
         d = deltas[mech]
         diff = [l - t for t, l in zip(d["truthful"], d["lying"])]
         # paired comparison: same seeds, same instances, only the reports differ
-        tstat, pvalue = scipy_stats.ttest_rel(d["lying"], d["truthful"])
+        tstat, pvalue = stats.ttest_rel(d["lying"], d["truthful"])
         base = statistics.fmean(d["truthful"])
         pct = (statistics.fmean(diff) / base * 100.0) if base else 0.0
         agg_rows.append([mech, _fmt_cell(d["truthful"]), _fmt_cell(d["lying"]),

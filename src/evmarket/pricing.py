@@ -8,6 +8,8 @@ counterfactual optima must be proven, not time-limited incumbents.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from functools import partial
 from typing import Callable, Iterable, Optional
 
 from .allocator import (
@@ -174,22 +176,34 @@ def calibrate_incr(
     solver: Solver = default_solver,
 ) -> float:
     """Smallest Coop markup at which each scenario stops making losses,
-    averaged over the family.  Starts at 0.1% and walks upward by `step`."""
+    averaged over the family: the first of 0.1%, 0.1% + step, ... up to
+    100% at which price_coop's budget is positive.
+
+    Fees only rise with the markup, so the charged set only shrinks, each
+    agent leaving it where its fee first exceeds its valuation.  Between two
+    such crossings the budget therefore does not fall, and each of these
+    segments is binary-searched instead of walked."""
     if step <= 0:
         raise ValueError("step must be > 0")
-    step_mil = max(1, round(step * 1000))
+    grid = range(1, 1001, max(1, round(step * 1000)))  # markups in thousandths
     stops = []
     for instance in scenario_family:
         allocation = solver(instance).allocation
-        incr_mil = 1
-        while True:
-            outcome = price_coop(instance, allocation, incr_mil / 1000)
-            if outcome.budget > 0:
-                stops.append(incr_mil / 1000)
+
+        def positive(k: int) -> bool:
+            return price_coop(instance, allocation, grid[k] / 1000).budget > 0
+
+        crossings = {0, len(grid)}  # grid indices where an agent declines (len(grid): never)
+        for aid, sid in allocation.assigned.items():
+            if sid is not None:
+                req = instance.request(aid)
+                fee = partial(_coop_price, req.ev.energy_demand, instance.station(sid).elec_cost)
+                crossings.add(bisect_right(grid, req.access(sid).valuation, key=fee))
+        bounds = sorted(crossings)
+        for lo, hi in zip(bounds, bounds[1:]):
+            if positive(hi - 1):
+                stops.append(grid[bisect_left(range(hi), True, lo, key=positive)] / 1000)
                 break
-            incr_mil += step_mil
-            if incr_mil > 1000:
-                raise NoBreakeven(
-                    "budget never turned positive for a scenario within incr <= 1.0"
-                )
+        else:
+            raise NoBreakeven("budget never turned positive for a scenario within incr <= 1.0")
     return sum(stops) / len(stops)

@@ -21,7 +21,7 @@ from .model import (
     Station,
     TimeGrid,
 )
-from .transport import NetworkError, RoadNetwork, TimeCostParams, build_requests
+from .transport import LocationError, NetworkError, RoadNetwork, TimeCostParams, build_requests
 
 FORMAT_VERSION = "1"
 
@@ -46,12 +46,6 @@ def _require_unique_ids(items, section: str) -> None:
         if item.id in seen:
             raise FormatError(f"{section}[{i}].id", f"duplicate id {item.id!r}")
         seen.add(item.id)
-
-
-def _require_node(network: RoadNetwork, node: int, key: str) -> None:
-    # a station or EV off the network would be silently unreachable
-    if node not in network.nodes:
-        raise FormatError(key, f"node {node} is not in network.nodes")
 
 
 def instance_to_dict(instance: Instance) -> dict:
@@ -159,17 +153,20 @@ def instance_from_dict(doc: dict) -> Instance:
                 )
             except NetworkError as exc:
                 raise FormatError(f"network.{exc.field}", exc.message) from exc
-            for i, s in enumerate(stations):
-                _require_node(network, s.location, f"stations[{i}].location")
             for i, e in enumerate(evs):
-                _require_node(network, e.start_location, f"evs[{i}].start_location")
-                _require_node(network, e.end_location, f"evs[{i}].end_location")
                 if not e.discharge_rate >= 0:
                     raise FormatError(f"evs[{i}].discharge_rate", "must be >= 0")
+        try:
+            requests = tuple(build_requests(network, evs, stations, grid))
+        except LocationError as exc:
+            # ids are unique per section; only a station has a plain "location"
+            section, items = ("stations", stations) if exc.field == "location" else ("evs", evs)
+            i = next(i for i, item in enumerate(items) if item.id == exc.id)
+            raise FormatError(f"{section}[{i}].{exc.field}", str(exc)) from exc
         return Instance(
             time_grid=grid,
             stations=stations,
-            requests=tuple(build_requests(network, evs, stations, grid)),
+            requests=requests,
             imbalance_unit_cost=imbalance,
             network=network,
         )

@@ -29,6 +29,17 @@ class NetworkError(ValueError):
         self.message = message
 
 
+class LocationError(ValueError):
+    """A station or EV location is not a network node; id names the station
+    or EV and field its location field: location for a station,
+    start_location or end_location for an EV."""
+
+    def __init__(self, id: str, field: str, message: str):
+        super().__init__(message)
+        self.id = id
+        self.field = field
+
+
 @dataclass(frozen=True)
 class RoadNetwork:
     nodes: frozenset[int]
@@ -131,20 +142,21 @@ def request_builder(
     With network=None ("flat mode") all drive distances are zero and the time
     cost comes from each EV's explicit time_cost field.  Otherwise Dijkstra
     runs once per station location, and a station or EV location that is
-    not a network node raises ValueError.
+    not a network node raises LocationError.
     """
     horizon = time_grid.horizon_len
     if network is not None:
         for st in stations:
             if st.location not in network.nodes:
-                raise ValueError(f"station {st.id} is at location {st.location}, not a network node")
+                raise LocationError(st.id, "location",
+                                    f"station {st.id} is at location {st.location}, not a network node")
         tables = distances_km(network, {st.location for st in stations})
 
     def build(ev: EvType) -> EvRequest:
         if network is not None:
             for name in ("start_location", "end_location"):
                 if (node := getattr(ev, name)) not in network.nodes:
-                    raise ValueError(f"EV {ev.id} has {name} {node}, not a network node")
+                    raise LocationError(ev.id, name, f"EV {ev.id} has {name} {node}, not a network node")
         per_station: dict[str, StationAccess] = {}
         for st in stations:
             if network is None:

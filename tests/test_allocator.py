@@ -464,6 +464,21 @@ def test_lp_relaxation_warm_runs_match_cold_linprog():
     assert model.c @ session.run(7.0, relaxation=True)[1] == pytest.approx(first, abs=1e-6)
 
 
+def test_branch_and_cut_keeps_the_lp_basis():
+    # branch-and-cut starts from a cleared solver, but the LP after it
+    # starts from the basis the LP before it left: with unchanged bounds
+    # it is optimal at once
+    model = build_model(generate(DESK_CONTESTED, 0))
+    session = _Session(model)
+    first = session.run(7.0, relaxation=True)
+    assert first[3].simplex_iteration_count > 0
+    assert session.run(7.0, relaxation=False)[0] == evmarket.allocator._core.HighsModelStatus.kOptimal
+    status, x, _, info = session.run(7.0, relaxation=True)
+    assert status == evmarket.allocator._core.HighsModelStatus.kOptimal
+    assert info.simplex_iteration_count == 0
+    assert model.c @ x == pytest.approx(model.c @ first[1], abs=1e-6)
+
+
 def test_solve_without_agent_matches_bruteforce(tiny1, tiny2):
     # one model per market serves every agent's removal, with and without
     # an incumbent (the empty allocation) to start the LP rungs from

@@ -148,6 +148,33 @@ def test_calibrate_incr_command(tmp_path, capsys):
     assert 0 < doc["incr"] <= 1.0
 
 
+# three 10-EV markets of seed 5; in each family below some agents decline
+# below the answer, so calibrate-incr crosses from one segment to the next
+FAMILY10 = ["--n-evs", "10", "--n-stations", "3", "--horizon", "12", "--max-demand", "4",
+            "--n-instances", "3", "--seed", "5"]
+
+
+@pytest.mark.parametrize("flags, code, out, err", [
+    (["--n-evs", "4", "--n-stations", "2", "--horizon", "10", "--elec-cost", "20",
+      "--imbalance-cost", "1", "--max-demand", "2", "--n-instances", "2", "--seed", "1"],
+     0, '{"incr": 0.475, "n_instances": 2, "seed": 1}', ""),
+    ([*FAMILY10, "--elec-cost", "30", "--imbalance-cost", "1"],
+     0, '{"incr": 0.283667, "n_instances": 3, "seed": 5}', ""),
+    ([*FAMILY10, "--elec-cost", "10", "--imbalance-cost", "2"],
+     0, '{"incr": 0.496, "n_instances": 3, "seed": 5}', ""),
+    ([*FAMILY10, "--elec-cost", "10", "--imbalance-cost", "2", "--step", "0.007"],
+     0, '{"incr": 0.500333, "n_instances": 3, "seed": 5}', ""),
+    ([*FAMILY10, "--elec-cost", "45", "--imbalance-cost", "1", "--step", "0.025"],
+     0, '{"incr": 0.234333, "n_instances": 3, "seed": 5}', ""),
+    ([*FAMILY10, "--elec-cost", "45", "--imbalance-cost", "1", "--max-demand", "2"],
+     1, "", "error: budget never turned positive for a scenario within incr <= 1.0"),
+], ids=["4ev", "elec30", "elec10", "elec10-step7", "elec45-step25", "no-breakeven"])
+def test_calibrate_incr_output_is_pinned(capsys, flags, code, out, err):
+    assert main(["calibrate-incr", *flags]) == code
+    captured = capsys.readouterr()
+    assert (captured.out.strip(), captured.err.strip()) == (out, err)
+
+
 def test_exp_command_writes_reports(tmp_path):
     out = tmp_path / "exp"
     assert main(["exp", "4", "--reps", "2", "--out", str(out)]) == 0

@@ -1,7 +1,11 @@
-"""Every name a library module imports is used in it (no linter is installed)."""
+"""Every name a library module imports is used in it (no linter is installed),
+and importing the library leaves scipy.optimize and scipy.stats unloaded."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -39,3 +43,33 @@ def test_no_unused_imports(path):
         if name not in _used(tree)
     )
     assert unused == [], f"{path.name} imports names it never uses: {unused}"
+
+
+def _python(code: str) -> str:
+    """Standard output of code run in a fresh interpreter that finds the library."""
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout.strip()
+
+
+def test_library_leaves_scipy_optimize_and_stats_unloaded():
+    loaded = _python(
+        "import sys, evmarket, evmarket.cli; "
+        "print([m for m in ('scipy.optimize', 'scipy.stats') if m in sys.modules])"
+    )
+    assert loaded == "[]"
+
+
+@pytest.mark.parametrize("first", ["scipy.optimize", "evmarket"])
+def test_highs_bindings_are_shared_with_scipy_optimize(first):
+    # whichever is imported first, the library and scipy.optimize hold one
+    # module of HiGHS bindings, and scipy's own solvers still run on it
+    second = "evmarket" if first == "scipy.optimize" else "scipy.optimize"
+    out = _python(
+        f"import {first}, {second}, evmarket.allocator\n"
+        "from scipy.optimize import linprog\n"
+        "from scipy.optimize._highspy import _core\n"
+        "print(evmarket.allocator._core is _core, linprog([1, 2], A_ub=[[-1, -1]], b_ub=[-1]).fun)"
+    )
+    assert out == "True 1.0"

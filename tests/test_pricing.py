@@ -147,6 +147,36 @@ def test_calibrate_incr_rejects_bad_step(tiny1):
         calibrate_incr([tiny1], step=0)
 
 
+def _walked_incr(instance, step_mil):
+    """The reference for calibrate_incr on one scenario: walk the markup up
+    from 0.1% one step at a time to the first positive budget (None if none)."""
+    allocation = default_solver(instance).allocation
+    for incr_mil in range(1, 1001, step_mil):
+        if price_coop(instance, allocation, incr_mil / 1000).budget > 0:
+            return incr_mil / 1000
+    return None
+
+
+@pytest.mark.parametrize("step_mil", [1, 7])
+@pytest.mark.parametrize("elec_cost, imbalance, seed", [
+    (10, 1, 5), (10, 1, 6), (10, 2, 6), (10, 2, 7), (30, 1, 5), (30, 1, 7), (45, 1, 5), (45, 2, 8),
+    (45, 2, 6), (30, 2, 9),
+])
+def test_calibrate_incr_matches_the_walk(elec_cost, imbalance, seed, step_mil):
+    # the binary search inside each segment between fee/valuation crossings
+    # stops where the walk does, also where agents decline before the stop
+    # (seeds 6, 8 and 45/1/5) and where no markup breaks even (45/2/6)
+    params = dataclasses.replace(DESK, n_evs=10, n_stations=3, horizon=12, elec_cost=elec_cost,
+                                 imbalance_unit_cost=imbalance, max_demand=4)
+    inst = generate(params, seed)
+    walked = _walked_incr(inst, step_mil)
+    if walked is None:
+        with pytest.raises(NoBreakeven):
+            calibrate_incr([inst], step=step_mil / 1000)
+    else:
+        assert calibrate_incr([inst], step=step_mil / 1000) == walked
+
+
 def _rebuild_and_milp(instance, time_limit=None, incumbent=None, without=None):
     """Every counterfactual on its own model of the market without the
     agent, through scipy's milp alone: the reference for the session's rungs."""
