@@ -278,9 +278,14 @@ class _Session:
         lp.row_lower_, lp.row_upper_ = np.full(len(model.b), -np.inf), model.b
         lp.integrality_ = np.where(model.is_binary, _core.HighsVarType.kInteger, _core.HighsVarType.kContinuous)
         self.highs = _core._Highs()
-        self.highs.setOptionValue("output_flag", False)
-        self.highs.setOptionValue("mip_rel_gap", 0.0)
+        self._set_option("output_flag", False)
+        self._set_option("mip_rel_gap", 0.0)
         self.highs.passModel(lp)  # a model that fails to load fails every run()
+
+    def _set_option(self, name: str, value) -> None:
+        """HiGHS keeps its old value of an option it refuses, so a refusal raises."""
+        if self.highs.setOptionValue(name, value) != _core.HighsStatus.kOk:
+            raise RuntimeError(f"HiGHS refused option {name}={value!r}")
 
     def set_bounds(self, cols: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> None:
         self.highs.changeColsBounds(len(cols), cols, lb, ub)
@@ -291,8 +296,8 @@ class _Session:
         HiGHS's path and so lands on the same optimum among ties.  The LP basis
         held before branch-and-cut is put back after it, so the next LP run
         still warm-starts from the last LP."""
-        self.highs.setOptionValue("time_limit", float(time_limit))
-        self.highs.setOptionValue("solve_relaxation", relaxation)
+        self._set_option("time_limit", float(time_limit))
+        self._set_option("solve_relaxation", relaxation)
         basis = None
         if not relaxation:
             basis = self.highs.getBasis()  # a copy, which clearSolver leaves alone
@@ -388,8 +393,11 @@ def solve_exact(model: IpModel, time_limit: float = DEFAULT_TIME_LIMIT,
     with the priced allocation less the winner as incumbent.  Given an
     incumbent, the LP relaxation runs first and branch-and-cut only when
     _prove_by_lp proves neither the incumbent nor the LP point; both share
-    time_limit.  Without one, the solve is branch-and-cut alone.
+    time_limit.  Without one, the solve is branch-and-cut alone.  A
+    time_limit that is not a number >= 0 raises ValueError.
     """
+    if not time_limit >= 0:  # NaN included, which HiGHS would take as a limit
+        raise ValueError(f"time_limit must be a number of seconds >= 0, got {time_limit}")
     start = time.monotonic()
     cols = np.array(model.columns[without] if without is not None else [], dtype=np.int32)
     lb, ub = model.lb.copy(), model.ub.copy()

@@ -8,8 +8,8 @@ into separate files with "timing" in their name.
 Exit codes for solve/online/exp: 0 = proven optimum, 2 = time-limited
 incumbent (payments may be missing because VCG refuses an unproven allocation
 or counterfactual; exp then writes no report),
-1 = parse error or infeasibility, with a diagnostic naming the offending key
-or constraint.
+1 = parse error, a flag value no run can honour, or infeasibility, with a
+diagnostic naming the offending key, flag or constraint.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import sys
 import time
 
 from . import __version__
-from .allocator import DEFAULT_TIME_LIMIT, STATUS_OPTIMAL, Infeasible, InfeasiblePin
+from .allocator import DEFAULT_TIME_LIMIT, STATUS_OPTIMAL, Infeasible, InfeasiblePin, build_model, solve_exact
 from .model import MONEY_SCALE
 from .online import ClearingSchedule, run_online
 from .pricing import (
@@ -30,7 +30,6 @@ from .pricing import (
     CounterfactualNotOptimal,
     NoBreakeven,
     calibrate_incr,
-    default_solver,
     price,
 )
 from .scenario import GenParams, ResampleLimit, generate
@@ -47,6 +46,22 @@ from . import experiments
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_TIME_LIMITED = 2
+
+
+class UsageError(Exception):
+    """A flag value that no run can honour; the message names the flag."""
+
+
+def _time_limit(args) -> float:
+    if not args.time_limit >= 0:  # NaN included
+        raise UsageError(f"--time-limit must be a number of seconds >= 0, got {args.time_limit}")
+    return args.time_limit
+
+
+def _at_least_one(flag: str, value: int) -> int:
+    if value < 1:
+        raise UsageError(f"{flag} must be at least 1, got {value}")
+    return value
 
 
 def _write_json(path: str, doc: dict) -> None:
@@ -114,15 +129,16 @@ def _solve_outputs(out_dir, allocation, status, outcome, mechanism, extra, wall_
 
 
 def cmd_solve(args) -> int:
+    solve = functools.partial(solve_exact, time_limit=_time_limit(args))
     try:
         instance = load_instance(args.instance)
     except FormatError as exc:
         print(f"error: cannot parse instance: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    solve = functools.partial(default_solver, time_limit=args.time_limit)
     t0 = time.perf_counter()
     try:
-        result = solve(instance)
+        model = build_model(instance)
+        result = solve(model)
     except (Infeasible, InfeasiblePin) as exc:
         print(f"error: infeasible: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -132,7 +148,7 @@ def cmd_solve(args) -> int:
     if args.mechanism == "coop":
         note["incr"] = args.incr
     try:
-        outcome = price(args.mechanism, instance, result, args.incr, solver=solve)
+        outcome = price(args.mechanism, model, result, args.incr, solver=solve)
     except CounterfactualNotOptimal as exc:
         note["pricing_error"] = str(exc)
         code = EXIT_TIME_LIMITED
@@ -142,20 +158,24 @@ def cmd_solve(args) -> int:
 
 
 def cmd_online(args) -> int:
+    solve = functools.partial(solve_exact, time_limit=_time_limit(args))
     try:
         instance = load_instance(args.instance)
     except FormatError as exc:
         print(f"error: cannot parse instance: {exc}", file=sys.stderr)
         return EXIT_ERROR
     if args.clearing_points:
-        schedule = ClearingSchedule(tuple(args.clearing_points))
+        try:
+            schedule = ClearingSchedule(tuple(args.clearing_points))
+        except ValueError as exc:
+            raise UsageError(f"--clearing-points: {exc}, got {args.clearing_points}") from None
     else:
-        schedule = ClearingSchedule.evenly(instance.time_grid.horizon_len, args.clearings)
+        clearings = _at_least_one("--clearings", args.clearings)
+        schedule = ClearingSchedule.evenly(instance.time_grid.horizon_len, clearings)
     t0 = time.perf_counter()
     try:
         online = run_online(
-            instance, schedule, mechanism=args.mechanism,
-            solver=functools.partial(default_solver, time_limit=args.time_limit),
+            instance, schedule, mechanism=args.mechanism, solver=solve,
             incr=args.incr, carryover=args.carryover,
         )
     except (Infeasible, InfeasiblePin) as exc:
@@ -183,8 +203,11 @@ def cmd_online(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    family = [generate(_gen_params(args), args.seed + k) for k in range(args.n_instances)]
-    solver = functools.partial(default_solver, time_limit=args.time_limit)
+    solver = functools.partial(solve_exact, time_limit=_time_limit(args))
+    if not args.step > 0:
+        raise UsageError(f"--step must be > 0, got {args.step}")
+    family = [generate(_gen_params(args), args.seed + k)
+              for k in range(_at_least_one("--n-instances", args.n_instances))]
     try:
         incr = calibrate_incr(family, step=args.step, solver=solver)
     except NoBreakeven as exc:
@@ -198,10 +221,11 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_exp(args) -> int:
+    time_limit, reps = _time_limit(args), _at_least_one("--reps", args.reps)
     os.makedirs(args.out, exist_ok=True)
     runner = experiments.RUNNERS[args.number]
     try:
-        paths = runner(args.out, reps=args.reps, seed0=args.seed, time_limit=args.time_limit)
+        paths = runner(args.out, reps=reps, seed0=args.seed, time_limit=time_limit)
     except CounterfactualNotOptimal as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TIME_LIMITED
@@ -269,7 +293,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ResampleLimit as exc:
+    except (ResampleLimit, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

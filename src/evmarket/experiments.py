@@ -23,10 +23,10 @@ from dataclasses import replace
 from functools import partial
 from typing import Optional
 
-from .allocator import DEFAULT_TIME_LIMIT
+from .allocator import DEFAULT_TIME_LIMIT, build_model, solve_exact
 from .model import Instance, Money
 from .online import ClearingSchedule, run_online
-from .pricing import MECHANISMS, Solver, default_solver, price
+from .pricing import MECHANISMS, Solver, price
 from .scenario import GenParams, generate, perturb_reports
 
 # Desk-scale profile: small enough that every exact solve (including VCG
@@ -82,9 +82,9 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
 
 
 def _offline(instance: Instance, mechanism: str, incr: float, solve: Solver):
-    result = solve(instance)
-    outcome = price(mechanism, instance, result, incr, solver=solve)
-    return result, outcome
+    model = build_model(instance)
+    result = solve(model)
+    return result, price(mechanism, model, result, incr, solver=solve)
 
 
 def _clearing_schedule(params: GenParams, clearings: int) -> ClearingSchedule:
@@ -115,7 +115,7 @@ def run_exp1(
     the host.  Time-limited solves are flagged in the status column, never
     dropped.
     """
-    solve = partial(default_solver, time_limit=time_limit)
+    solve = partial(solve_exact, time_limit=time_limit)
     rows = []
     for n in ev_counts:
         for rep in range(reps):
@@ -155,7 +155,7 @@ def run_exp2(
     clearings: int = 5,
 ) -> list[str]:
     """Serviced fraction and mean agent utility per mechanism and mode."""
-    solve = partial(default_solver, time_limit=time_limit)
+    solve = partial(solve_exact, time_limit=time_limit)
     per_rep = []
     agg: dict[tuple, dict[str, list[float]]] = {}
     for n in ev_counts:
@@ -210,7 +210,7 @@ def run_exp3(
 ) -> list[str]:
     """Mean payment per charged agent and mechanism profit (budget), with a
     station-count sweep tracking where VCG revenue falls off."""
-    solve = partial(default_solver, time_limit=time_limit)
+    solve = partial(solve_exact, time_limit=time_limit)
     per_rep = []
     agg: dict[tuple, dict[str, list[float]]] = {}
     for n_st in station_counts:
@@ -279,7 +279,7 @@ def run_exp4(
     to the liars (other agents' payments don't enter the comparison), which
     keeps the counterfactual solve count proportional to the liar count.
     """
-    solve = partial(default_solver, time_limit=time_limit)
+    solve = partial(solve_exact, time_limit=time_limit)
     per_rep = []
     deltas: dict[str, dict[str, list[float]]] = {
         m: {"truthful": [], "lying": [], "charged_t": [], "charged_l": []}
@@ -293,12 +293,13 @@ def run_exp4(
             valuation_multiplier=multiplier, seed=seed,
         )
         liars = sorted(truth_map)
-        truth_result = solve(truth_inst)
-        lying_result = solve(lying_inst)
+        truth_model, lying_model = build_model(truth_inst), build_model(lying_inst)
+        truth_result = solve(truth_model)
+        lying_result = solve(lying_model)
         for mechanism in MECHANISMS:
-            out_t = price(mechanism, truth_inst, truth_result, incr,
+            out_t = price(mechanism, truth_model, truth_result, incr,
                           solver=solve, agent_ids=liars)
-            out_l = price(mechanism, lying_inst, lying_result, incr,
+            out_l = price(mechanism, lying_model, lying_result, incr,
                           solver=solve, agent_ids=liars)
             u_truth = [
                 float(out_t.utilities[a]) for a in liars

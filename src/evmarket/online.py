@@ -12,9 +12,9 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Optional
 
-from .allocator import STATUS_OPTIMAL, STATUS_TIME_LIMITED, evaluate_objective
+from .allocator import STATUS_OPTIMAL, STATUS_TIME_LIMITED, build_model, evaluate_objective, solve_exact
 from .model import Allocation, Instance, PricingOutcome
-from .pricing import MECHANISMS, Solver, default_solver, price
+from .pricing import MECHANISMS, Solver, price
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ def run_online(
     instance: Instance,
     clearing_schedule: ClearingSchedule,
     mechanism: str = "vcg",
-    solver: Solver = default_solver,
+    solver: Solver = solve_exact,
     incr: float = 0.025,
     carryover: bool = False,
 ) -> OnlineResult:
@@ -109,22 +109,20 @@ def run_online(
             schedule=frozenset(committed_schedule),
             objective=0,
         )
-        clearing_instance = dataclasses.replace(
+        model = build_model(dataclasses.replace(
             instance,
             requests=tuple(
                 instance.request(aid) for aid in list(committed_assigned) + eligible
             ),
             pinned=pinned,
             frozen_before=t_p,
-        )
-        result = solver(clearing_instance)
+        ))
+        result = solver(model)
         allocation = result.allocation
         newly_assigned = [
             aid for aid in eligible if allocation.assigned.get(aid) is not None
         ]
-        outcome = price(
-            mechanism, clearing_instance, result, incr, solver=solver, agent_ids=newly_assigned
-        )
+        outcome = price(mechanism, model, result, incr, solver=solver, agent_ids=newly_assigned)
         # only agents that actually charge become commitments
         committed_now = [aid for aid in newly_assigned if aid in outcome.charged]
         for aid in committed_now:

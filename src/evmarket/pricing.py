@@ -12,18 +12,11 @@ from bisect import bisect_left, bisect_right
 from functools import partial
 from typing import Callable, Iterable, Optional
 
-from .allocator import (
-    DEFAULT_TIME_LIMIT,
-    STATUS_OPTIMAL,
-    SolveResult,
-    build_model,
-    evaluate_objective,
-    solve_exact,
-)
+from .allocator import STATUS_OPTIMAL, IpModel, SolveResult, build_model, evaluate_objective, solve_exact
 from .model import Allocation, Instance, Money, PricingOutcome
 
-# solver(instance), or solver(instance, incumbent=allocation, without=aid) for the
-# VCG counterfactual: instance's market without aid, starting from a feasible allocation
+# solver(model), or solver(model, incumbent=allocation, without=aid) for the VCG
+# counterfactual: model.instance's market without aid, starting from a feasible allocation
 Solver = Callable[..., SolveResult]
 
 MECHANISMS = ("coop", "vcg")
@@ -37,23 +30,6 @@ class CounterfactualNotOptimal(Exception):
 
 class NoBreakeven(Exception):
     """The Coop markup never turned the budget positive within incr <= 1.0."""
-
-
-_last: list = [None, None]  # the last instance solved (by identity) and its IpModel
-
-
-def default_solver(
-    instance: Instance,
-    time_limit: float = DEFAULT_TIME_LIMIT,
-    incumbent: Optional[Allocation] = None,
-    without: Optional[str] = None,
-) -> SolveResult:
-    """solve_exact on the model of instance, kept for the next call on the
-    same object, so a market's VCG counterfactuals reuse its model."""
-    if _last[0] is not instance:
-        _last[:] = None, None  # free the last market's model before building this one
-        _last[:] = instance, build_model(instance)
-    return solve_exact(_last[1], time_limit, incumbent, without)
 
 
 def _coop_price(energy_demand: int, elec_cost: Money, incr_mil: int) -> Money:
@@ -114,17 +90,24 @@ def price_coop(
 def price_vcg(
     instance: Instance,
     allocation: Allocation,
-    solver: Solver = default_solver,
+    solver: Solver = solve_exact,
     agent_ids: Optional[Iterable[str]] = None,
 ) -> PricingOutcome:
     """Each winner pays its externality: the others' best welfare without it
     minus their welfare with it.  Requires allocation to be a proven optimum;
     every counterfactual solve must also prove optimality.  Each
-    counterfactual calls solver(instance, incumbent=..., without=winner),
-    where the incumbent is the priced allocation without the winner.
-    Payments can be negative when an EV's charging reduces the imbalance
-    penalty.
+    counterfactual calls solver(model, incumbent=..., without=winner) on one
+    model of instance, built here and freed on return, where the incumbent
+    is the priced allocation without the winner.  Payments can be negative
+    when an EV's charging reduces the imbalance penalty.
     """
+    return _vcg(build_model(instance), allocation, solver, agent_ids)
+
+
+def _vcg(model: IpModel, allocation: Allocation, solver: Solver,
+         agent_ids: Optional[Iterable[str]]) -> PricingOutcome:
+    """price_vcg with every counterfactual solved on model."""
+    instance = model.instance
     pinned_agents = set(instance.pinned.assigned) if instance.pinned else set()
     payments: dict[str, Money] = {}
     utilities: dict[str, Money] = {}
@@ -139,7 +122,7 @@ def price_vcg(
         assigned = {a: s for a, s in allocation.assigned.items() if a != aid}
         schedule = frozenset(tr for tr in allocation.schedule if tr[0] != aid)
         welfare = evaluate_objective(instance, assigned, schedule)
-        result = solver(instance, incumbent=Allocation(assigned, schedule, welfare), without=aid)
+        result = solver(model, incumbent=Allocation(assigned, schedule, welfare), without=aid)
         if result.status != STATUS_OPTIMAL:
             raise CounterfactualNotOptimal(
                 f"counterfactual solve without {aid} ended with status {result.status}"
@@ -151,29 +134,30 @@ def price_vcg(
     return PricingOutcome.settle(instance, allocation, payments, utilities, charged)
 
 
-def price(mechanism: str, instance: Instance, result: SolveResult, incr: float,
-          solver: Solver = default_solver,
+def price(mechanism: str, model: IpModel, result: SolveResult, incr: float,
+          solver: Solver = solve_exact,
           agent_ids: Optional[Iterable[str]] = None) -> PricingOutcome:
-    """Price a solved allocation with the named mechanism (one of MECHANISMS).
+    """Price an allocation solved on model with the named mechanism (one of
+    MECHANISMS); VCG runs its counterfactuals on that same model.
 
     VCG payments are differences of optimal welfare values, so VCG refuses an
     allocation whose solve was not proven optimal (CounterfactualNotOptimal).
     """
     if mechanism == "coop":
-        return price_coop(instance, result.allocation, incr, agent_ids=agent_ids)
+        return price_coop(model.instance, result.allocation, incr, agent_ids=agent_ids)
     if mechanism != "vcg":
         raise ValueError(f"unknown mechanism {mechanism!r}")
     if result.status != STATUS_OPTIMAL:
         raise CounterfactualNotOptimal(
             f"allocation solve ended with status {result.status}; VCG needs a proven optimum"
         )
-    return price_vcg(instance, result.allocation, solver=solver, agent_ids=agent_ids)
+    return _vcg(model, result.allocation, solver, agent_ids)
 
 
 def calibrate_incr(
     scenario_family: Iterable[Instance],
     step: float = 0.001,
-    solver: Solver = default_solver,
+    solver: Solver = solve_exact,
 ) -> float:
     """Smallest Coop markup at which each scenario stops making losses,
     averaged over the family: the first of 0.1%, 0.1% + step, ... up to
@@ -188,7 +172,7 @@ def calibrate_incr(
     grid = range(1, 1001, max(1, round(step * 1000)))  # markups in thousandths
     stops = []
     for instance in scenario_family:
-        allocation = solver(instance).allocation
+        allocation = solver(build_model(instance)).allocation
 
         def positive(k: int) -> bool:
             return price_coop(instance, allocation, grid[k] / 1000).budget > 0

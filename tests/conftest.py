@@ -1,11 +1,14 @@
 import dataclasses
 import random
+import weakref
 
 import numpy as np
 import pytest
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-from evmarket import EvType, Instance, Station, TimeGrid, build_requests, solve_bruteforce, solve_exact
+import evmarket.cli
+import evmarket.experiments
+from evmarket import EvType, Instance, Station, TimeGrid, build_model, build_requests, solve_bruteforce
 from evmarket.allocator import STATUS_OPTIMAL, STATUS_TIME_LIMITED, SolveResult, _allocation_from_x
 
 
@@ -126,6 +129,21 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
+@pytest.fixture
+def built_models(monkeypatch):
+    """A weak reference to each model that the library's own modules build."""
+    refs = []
+
+    def recording(instance):
+        model = build_model(instance)
+        refs.append(weakref.ref(model))
+        return model
+
+    for module in (evmarket.cli, evmarket.experiments, evmarket.online, evmarket.pricing):
+        monkeypatch.setattr(module, "build_model", recording)
+    return refs
+
+
 def drop_agent(instance, agent_id):
     """The market without agent_id's request (instance itself for None)."""
     if agent_id is None:
@@ -134,17 +152,17 @@ def drop_agent(instance, agent_id):
         instance, requests=tuple(r for r in instance.requests if r.ev.id != agent_id))
 
 
-def bf_solver(instance, time_limit=None, incumbent=None, without=None):
+def bf_solver(model, time_limit=None, incumbent=None, without=None):
     """Brute-force enumeration wrapped in the Solver interface, over the
-    market without the agent `without`; always optimal."""
-    return SolveResult(allocation=solve_bruteforce(drop_agent(instance, without)), status=STATUS_OPTIMAL)
+    model's market without the agent `without`; always optimal."""
+    return SolveResult(allocation=solve_bruteforce(drop_agent(model.instance, without)), status=STATUS_OPTIMAL)
 
 
 def unproven_full_market_solver(n_agents):
     """Brute-force solver that reports a market of n_agents as time-limited
     and every smaller market (each VCG counterfactual) as optimal."""
-    def solve(instance, time_limit=None, incumbent=None, without=None):
-        market = drop_agent(instance, without)
+    def solve(model, time_limit=None, incumbent=None, without=None):
+        market = drop_agent(model.instance, without)
         status = STATUS_TIME_LIMITED if len(market.requests) == n_agents else STATUS_OPTIMAL
         return SolveResult(allocation=solve_bruteforce(market), status=status)
     return solve
@@ -158,8 +176,3 @@ def milp_allocation(model):
                options={"mip_rel_gap": 0.0})
     assert res.status == 0, res.message
     return _allocation_from_x(model, np.round(res.x))
-
-
-def on_model(model):
-    """A solver that prices every counterfactual on the given model."""
-    return lambda instance, **kwargs: solve_exact(model, **kwargs)

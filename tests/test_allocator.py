@@ -10,6 +10,7 @@ from evmarket import (
     Allocation,
     build_model,
     generate,
+    price,
     price_vcg,
     solve_bruteforce,
     solve_exact,
@@ -17,10 +18,9 @@ from evmarket import (
 )
 from evmarket.allocator import Infeasible, InfeasiblePin, _dual_bound, _Session, evaluate_objective
 from evmarket.experiments import DESK, DESK_CONTESTED
-from evmarket.pricing import default_solver
 
 from conftest import (
-    drop_agent, flat_instance, make_ev, make_station, milp_allocation, on_model, random_flat_instance,
+    drop_agent, flat_instance, make_ev, make_station, milp_allocation, random_flat_instance,
 )
 
 
@@ -130,8 +130,9 @@ def test_session_matches_scipy_milp(params, seed):
     inst = generate(params, seed)
     model = build_model(inst)
     reference = milp_allocation(model)
-    assert solve_exact(model).allocation == reference
-    price_vcg(inst, reference, solver=on_model(model))
+    main = solve_exact(model)
+    assert main.allocation == reference
+    price("vcg", model, main, 0.0)
     assert solve_exact(model).allocation == reference
 
 
@@ -407,8 +408,8 @@ def test_proof_names_the_rung():
     assert main.proof == "milp"
     rungs = []
 
-    def recording(instance, incumbent=None, without=None):
-        result = default_solver(instance, incumbent=incumbent, without=without)
+    def recording(model, incumbent=None, without=None):
+        result = solve_exact(model, incumbent=incumbent, without=without)
         rungs.append((result.proof, result.nodes))
         return result
 
@@ -504,3 +505,16 @@ def test_time_limited_solve_keeps_the_pins():
     assert validate_allocation(inst, result.allocation) == []
     assert {aid: result.allocation.assigned[aid] for aid in DESK30_PINS.assigned} == DESK30_PINS.assigned
     assert DESK30_PINS.schedule <= result.allocation.schedule
+
+
+def test_time_limit_no_run_can_honour_raises(tiny1):
+    # HiGHS refuses a negative time_limit and keeps its old value (here 7 s),
+    # and it takes NaN; either would let a run go on without the limit asked for
+    model = build_model(tiny1)
+    for bad in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="time_limit"):
+            solve_exact(model, time_limit=bad)
+    assert solve_exact(model, time_limit=7.0).status == "optimal"
+    with pytest.raises(RuntimeError, match="time_limit=-1.0"):
+        model._session.run(-1.0, relaxation=True)
+    assert model._session.highs.getOptionValue("time_limit")[1] == 7.0

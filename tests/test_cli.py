@@ -8,9 +8,10 @@ import pytest
 import evmarket.allocator
 import evmarket.cli
 import evmarket.experiments
-import evmarket.pricing
+from evmarket import ClearingSchedule, generate, run_online
 from evmarket.allocator import STATUS_TIME_LIMITED
 from evmarket.cli import main
+from evmarket.experiments import DESK
 from evmarket.serialize import dump_instance
 
 from conftest import flat_instance, make_ev, make_station, unproven_full_market_solver
@@ -54,7 +55,7 @@ def test_solve_outputs_deterministic(tmp_path, tiny1_file):
 
 
 def test_solve_vcg_refuses_unproven_allocation(tmp_path, tiny1_file, monkeypatch):
-    monkeypatch.setattr(evmarket.cli, "default_solver", unproven_full_market_solver(2))
+    monkeypatch.setattr(evmarket.cli, "solve_exact", unproven_full_market_solver(2))
     out = tmp_path / "out"
     assert main(["solve", tiny1_file, "--mechanism", "vcg", "--out", str(out)]) == 2
     summary = json.loads((out / "summary.json").read_text())
@@ -106,7 +107,7 @@ def test_online_command(tmp_path, tiny1_file):
 
 def test_time_limit_reaches_every_solve(tmp_path, tiny1_file, monkeypatch):
     limits, runs = [], []
-    real_solve_exact = evmarket.pricing.solve_exact
+    real_solve_exact = evmarket.cli.solve_exact
     real_run = evmarket.allocator._Session.run
 
     def recording_solve_exact(model, time_limit, incumbent=None, without=None):
@@ -117,7 +118,7 @@ def test_time_limit_reaches_every_solve(tmp_path, tiny1_file, monkeypatch):
         runs.append(("lp" if relaxation else "milp", time_limit))
         return real_run(self, time_limit, relaxation)
 
-    monkeypatch.setattr(evmarket.pricing, "solve_exact", recording_solve_exact)
+    monkeypatch.setattr(evmarket.cli, "solve_exact", recording_solve_exact)
     monkeypatch.setattr(evmarket.allocator._Session, "run", recording_run)
     assert main(["solve", tiny1_file, "--mechanism", "vcg", "--time-limit", "7",
                  "--out", str(tmp_path / "solve")]) == 0
@@ -135,6 +136,41 @@ def test_time_limit_reaches_every_solve(tmp_path, tiny1_file, monkeypatch):
     # counterfactual (two in solve, two in online)
     solve_runs = [("milp", 7.0), ("lp", 7.0), ("lp", 7.0)]
     assert runs == solve_runs * 2 + [("milp", 7.0)] * 2
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("solve", ["--time-limit", "-1"]),
+    ("solve", ["--time-limit", "nan"]),
+    ("online", ["--time-limit", "-1"]),
+    ("calibrate-incr", ["--time-limit", "-1"]),
+    ("exp", ["4", "--time-limit", "-1"]),
+    ("online", ["--clearings", "0"]),
+    ("online", ["--clearing-points", "5", "3"]),
+    ("calibrate-incr", ["--n-instances", "0"]),
+    ("calibrate-incr", ["--step", "0"]),
+    ("exp", ["4", "--reps", "0"]),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_flag_no_run_can_honour_exits_1(tmp_path, tiny1_file, capsys, command, flags):
+    # a negative limit is refused by HiGHS and NaN is taken as one; neither
+    # may leave a run without the limit it was given
+    args = [command, *([tiny1_file] if command in ("solve", "online") else []), *flags]
+    if command != "calibrate-incr":
+        args += ["--out", str(tmp_path / "out")]
+    assert main(args) == 1
+    flag = next(f for f in flags if f.startswith("--"))
+    assert capsys.readouterr().err.startswith(f"error: {flag}")
+    assert not (tmp_path / "out").exists()
+
+
+def test_each_market_model_is_built_once(tmp_path, tiny1_file, built_models):
+    # the model that solves a market also prices it
+    assert main(["solve", tiny1_file, "--out", str(tmp_path / "solve")]) == 0
+    assert len(built_models) == 1
+    evmarket.experiments.run_exp4(str(tmp_path), reps=5)
+    assert len(built_models) == 1 + 5 * 2  # a truthful and a lying market per repetition
+    online = run_online(generate(DESK, 7), ClearingSchedule((3, 6, 9, 12, 15, 23)), carryover=True)
+    cleared = [c for c in online.clearings if c.status != "no-op"]
+    assert len(built_models) == 11 + len(cleared) and len(cleared) == len(online.clearings) - 1
 
 
 def test_calibrate_incr_command(tmp_path, capsys):
@@ -186,12 +222,12 @@ def test_exp_command_writes_reports(tmp_path):
 
 
 def test_exp_exits_2_on_unproven_vcg_solve(tmp_path, monkeypatch, capsys):
-    real_solver = evmarket.experiments.default_solver
+    real_solver = evmarket.experiments.solve_exact
 
-    def time_limited(instance, time_limit=None, incumbent=None, without=None):
-        return dataclasses.replace(real_solver(instance, without=without), status=STATUS_TIME_LIMITED)
+    def time_limited(model, time_limit=None, incumbent=None, without=None):
+        return dataclasses.replace(real_solver(model, without=without), status=STATUS_TIME_LIMITED)
 
-    monkeypatch.setattr(evmarket.experiments, "default_solver", time_limited)
+    monkeypatch.setattr(evmarket.experiments, "solve_exact", time_limited)
     out = tmp_path / "exp"
     assert main(["exp", "3", "--reps", "1", "--out", str(out)]) == 2
     assert "error:" in capsys.readouterr().err

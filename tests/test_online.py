@@ -86,8 +86,8 @@ def test_run_status_flags_unproven_clearing(tiny1):
     proven = run_online(tiny1, ClearingSchedule((1,)), mechanism="coop", solver=bf_solver)
     assert proven.status == "optimal"
 
-    def time_limited(instance, incumbent=None, without=None):
-        return dataclasses.replace(bf_solver(instance, without=without), status="feasible_time_limited")
+    def time_limited(model, incumbent=None, without=None):
+        return dataclasses.replace(bf_solver(model, without=without), status="feasible_time_limited")
 
     unproven = run_online(tiny1, ClearingSchedule((1,)), mechanism="coop", solver=time_limited)
     assert [c.status for c in unproven.clearings] == ["feasible_time_limited"]

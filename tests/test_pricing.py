@@ -3,13 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from evmarket import build_model, calibrate_incr, generate, price_coop, price_vcg, solve_exact
+from evmarket import build_model, calibrate_incr, generate, price, price_coop, price_vcg, solve_exact
 from evmarket.allocator import STATUS_OPTIMAL, STATUS_TIME_LIMITED, SolveResult, _Session
 from evmarket.experiments import DESK, DESK_CONTESTED
-from evmarket.pricing import CounterfactualNotOptimal, NoBreakeven, _coop_price, default_solver
+from evmarket.pricing import CounterfactualNotOptimal, NoBreakeven, _coop_price
 
 from conftest import (
-    bf_solver, drop_agent, flat_instance, make_ev, make_station, milp_allocation, on_model,
+    bf_solver, drop_agent, flat_instance, make_ev, make_station, milp_allocation,
     random_flat_instance,
 )
 
@@ -150,7 +150,7 @@ def test_calibrate_incr_rejects_bad_step(tiny1):
 def _walked_incr(instance, step_mil):
     """The reference for calibrate_incr on one scenario: walk the markup up
     from 0.1% one step at a time to the first positive budget (None if none)."""
-    allocation = default_solver(instance).allocation
+    allocation = solve_exact(build_model(instance)).allocation
     for incr_mil in range(1, 1001, step_mil):
         if price_coop(instance, allocation, incr_mil / 1000).budget > 0:
             return incr_mil / 1000
@@ -177,10 +177,16 @@ def test_calibrate_incr_matches_the_walk(elec_cost, imbalance, seed, step_mil):
         assert calibrate_incr([inst], step=step_mil / 1000) == walked
 
 
-def _rebuild_and_milp(instance, time_limit=None, incumbent=None, without=None):
+def test_price_vcg_frees_its_model(tiny2, built_models):
+    alloc = solve_exact(build_model(tiny2)).allocation
+    assert price_vcg(tiny2, alloc).charged == {"a1"}
+    assert len(built_models) == 1 and built_models[0]() is None
+
+
+def _rebuild_and_milp(model, time_limit=None, incumbent=None, without=None):
     """Every counterfactual on its own model of the market without the
     agent, through scipy's milp alone: the reference for the session's rungs."""
-    return SolveResult(milp_allocation(build_model(drop_agent(instance, without))), STATUS_OPTIMAL)
+    return SolveResult(milp_allocation(build_model(drop_agent(model.instance, without))), STATUS_OPTIMAL)
 
 
 def _ladder_matches_milp(instance):
@@ -214,7 +220,7 @@ def test_counterfactual_order_leaves_no_state(params, seed):
     # the warm-started LP starts each counterfactual from the last one's
     # basis; payments must not depend on which ran before
     inst = generate(params, seed)
-    alloc = default_solver(inst).allocation
+    alloc = solve_exact(build_model(inst)).allocation
     first = price_vcg(inst, alloc)
     assert price_vcg(inst, alloc) == first
     winners = sorted(first.charged)
@@ -233,7 +239,7 @@ def test_model_after_pricing_is_the_parent(params, seed):
     model = build_model(inst)
     main = solve_exact(model)
     lb, ub = model.lb.copy(), model.ub.copy()
-    price_vcg(inst, main.allocation, solver=on_model(model))
+    price("vcg", model, main, 0.0)
     assert solve_exact(model).allocation == main.allocation
     _assert_bounds_as_built(model, lb, ub)
 
@@ -256,6 +262,6 @@ def test_raising_counterfactual_restores_bounds(params, seed, failing, monkeypat
 
     monkeypatch.setattr(_Session, "run", fails_third)
     with pytest.raises(RuntimeError, match="HiGHS failed"):
-        price_vcg(inst, main.allocation, solver=on_model(model))
+        price("vcg", model, main, 0.0)
     assert runs[-1] == failing
     _assert_bounds_as_built(model, lb, ub)
