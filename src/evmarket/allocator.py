@@ -122,8 +122,7 @@ def build_model(instance: Instance) -> IpModel:
 
     Stations outside an EV's feasible set and time points outside its window
     contribute no variables at all.  Pinned agents have every variable fixed
-    to its committed value; unpinned agents cannot charge before
-    instance.frozen_before (the market cannot schedule the past).
+    to its committed value.
     """
     if instance.pinned is not None:
         violations = validate_allocation(instance, instance.pinned)
@@ -148,8 +147,8 @@ def build_model(instance: Instance) -> IpModel:
         return len(c) - 1
 
     # binaries first (assignment, then charge): is_binary marks the first n_binary.
-    # pairs holds, per request, one (station, access, assignment var, first
-    # schedulable slot, charge vars) entry for each station it may use.
+    # pairs holds, per request, one (station, access, assignment var, charge
+    # vars) entry for each station it may use.
     pairs: list[list[tuple]] = []
     for req in instance.requests:
         aid = req.ev.id
@@ -159,20 +158,17 @@ def build_model(instance: Instance) -> IpModel:
             if st.id not in req.feasible_stations:
                 continue
             acc = req.access(st.id)
-            start = acc.first_slot(acc.arrival if pinned else instance.frozen_before)
-            if start is None:
-                continue
             phi = add_var(acc.valuation, pinned_assigned[aid] == st.id if pinned else None)
             phi_index[(aid, st.id)] = phi
             columns[aid].append(phi)
-            own.append((st, acc, phi, start, []))
+            own.append((st, acc, phi, []))
         pairs.append(own)
     cells: dict[tuple[str, int], list[int]] = {}  # (station, t) -> charge vars
     for req, own in zip(instance.requests, pairs):
         aid = req.ev.id
         pinned = aid in pinned_assigned
-        for st, acc, _, start, pair in own:
-            for t in range(start, acc.departure):
+        for st, acc, _, pair in own:
+            for t in range(acc.arrival, acc.departure):
                 i = add_var(-st.slot_elec_cost, (aid, st.id, t) in pinned_slots if pinned else None)
                 charge_index[(aid, st.id, t)] = i
                 columns[aid].append(i)
@@ -194,8 +190,8 @@ def build_model(instance: Instance) -> IpModel:
 
     for req, own in zip(instance.requests, pairs):
         if own:
-            add_row({phi: 1.0 for _, _, phi, _, _ in own}, 1.0)
-        for st, acc, phi, _, pair in own:
+            add_row({phi: 1.0 for _, _, phi, _ in own}, 1.0)
+        for st, acc, phi, pair in own:
             # charge at least the demand when assigned
             add_row({phi: float(acc.charge_slots_needed), **dict.fromkeys(pair, -1.0)}, 0.0)
             # never exceed the battery
@@ -343,7 +339,7 @@ def _dual_bound(model: IpModel, y: np.ndarray, lb: np.ndarray, ub: np.ndarray) -
 
 def _is_model_point(model: IpModel, allocation: Allocation, lb: np.ndarray, ub: np.ndarray) -> bool:
     """allocation passes validate_allocation and sets only variables the
-    model has, within lb and ub (so pins, the frozen prefix and `without` hold)."""
+    model has, within lb and ub (so pins and `without` hold)."""
     x = np.zeros(model.n_vars)
     try:
         for aid, sid in allocation.assigned.items():

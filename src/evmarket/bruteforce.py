@@ -45,16 +45,15 @@ def _station_best_schedule(
     for aid in agent_ids:
         req = instance.request(aid)
         acc = req.access(station_id)
-        start = max(acc.arrival, instance.frozen_before)
         tau = acc.charge_slots_needed
         cap_slots = (req.ev.battery_capacity - acc.battery_on_arrival) // st.rate
-        max_slots = min(acc.departure - start, cap_slots)
+        max_slots = min(acc.departure - acc.arrival, cap_slots)
         if cimbl <= slot_cost:
             # an extra slot costs more than any imbalance saving; demand-exact is optimal
             max_slots = min(max_slots, tau)
         if max_slots < tau:
             return None
-        free.append((aid, start, acc.departure, tau, max_slots))
+        free.append((aid, acc.arrival, acc.departure, tau, max_slots))
 
     n = len(free)
     states: dict[tuple[int, ...], int] = {tuple([0] * n): 0}

@@ -58,6 +58,11 @@ def _time_limit(args) -> float:
     return args.time_limit
 
 
+def _check_incr(args) -> None:
+    if not 0 <= args.incr < float("inf"):  # NaN included
+        raise UsageError(f"--incr must be a finite number >= 0, got {args.incr}")
+
+
 def _at_least_one(flag: str, value: int) -> int:
     if value < 1:
         raise UsageError(f"{flag} must be at least 1, got {value}")
@@ -130,6 +135,7 @@ def _solve_outputs(out_dir, allocation, status, outcome, mechanism, extra, wall_
 
 def cmd_solve(args) -> int:
     solve = functools.partial(solve_exact, time_limit=_time_limit(args))
+    _check_incr(args)
     try:
         instance = load_instance(args.instance)
     except FormatError as exc:
@@ -159,6 +165,7 @@ def cmd_solve(args) -> int:
 
 def cmd_online(args) -> int:
     solve = functools.partial(solve_exact, time_limit=_time_limit(args))
+    _check_incr(args)
     try:
         instance = load_instance(args.instance)
     except FormatError as exc:
@@ -169,6 +176,9 @@ def cmd_online(args) -> int:
             schedule = ClearingSchedule(tuple(args.clearing_points))
         except ValueError as exc:
             raise UsageError(f"--clearing-points: {exc}, got {args.clearing_points}") from None
+        horizon = instance.time_grid.horizon_len
+        if not 1 <= schedule.points[0] <= schedule.points[-1] <= horizon:
+            raise UsageError(f"--clearing-points must lie in [1, {horizon}], got {args.clearing_points}")
     else:
         clearings = _at_least_one("--clearings", args.clearings)
         schedule = ClearingSchedule.evenly(instance.time_grid.horizon_len, clearings)

@@ -96,12 +96,6 @@ class StationAccess:
     battery_on_arrival: Energy
     charge_slots_needed: int  # ceil(energy_demand / station rate)
 
-    def first_slot(self, not_before: int) -> Optional[int]:
-        """First slot open to charging when nothing may start before
-        not_before, or None when the rest of the window cannot fit the demand."""
-        start = max(self.arrival, not_before)
-        return start if self.departure - start >= self.charge_slots_needed else None
-
 
 @dataclass(frozen=True)
 class EvRequest:
@@ -149,10 +143,8 @@ class Instance:
     """A fully resolved market problem.
 
     pinned carries commitments from earlier market clearings that must be
-    preserved verbatim; frozen_before marks the first time point the market
-    may still schedule (everything earlier is immutable history).  Station
-    ids and EV ids must each be unique; station() and request() look them up
-    in indexes built at construction.
+    preserved verbatim.  Station ids and EV ids must each be unique;
+    station() and request() look them up in indexes built at construction.
     """
 
     time_grid: TimeGrid
@@ -160,7 +152,6 @@ class Instance:
     requests: tuple[EvRequest, ...]
     imbalance_unit_cost: Money
     pinned: Optional[Allocation] = None
-    frozen_before: int = 0
     network: Optional[object] = None  # transport.RoadNetwork when routing is modelled
     _stations_by_id: dict[str, Station] = field(init=False, repr=False, compare=False)
     _requests_by_id: dict[str, EvRequest] = field(init=False, repr=False, compare=False)

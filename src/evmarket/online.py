@@ -15,6 +15,7 @@ from typing import Optional
 from .allocator import STATUS_OPTIMAL, STATUS_TIME_LIMITED, build_model, evaluate_objective, solve_exact
 from .model import Allocation, Instance, PricingOutcome
 from .pricing import MECHANISMS, Solver, price
+from .transport import remaining_request
 
 
 @dataclass(frozen=True)
@@ -53,12 +54,6 @@ class OnlineResult:
     status: str  # optimal when every clearing was proven optimal or a no-op
 
 
-def _remaining_window_fits(req, frozen_before: int) -> bool:
-    return any(
-        req.access(sid).first_slot(frozen_before) is not None for sid in req.feasible_stations
-    )
-
-
 def run_online(
     instance: Instance,
     clearing_schedule: ClearingSchedule,
@@ -92,11 +87,10 @@ def run_online(
         ]
         carried = [aid for aid in pool if aid not in committed_assigned] if carryover else []
         pool = carried + new_ids
-        eligible = [
-            aid
-            for aid in pool
-            if aid not in committed_assigned and _remaining_window_fits(instance.request(aid), t_p)
-        ]
+        # the past is frozen: each pool agent's windows cut to start at t_p
+        remaining = [remaining_request(instance.request(aid), t_p) for aid in pool]
+        eligible_requests = [req for req in remaining if req.feasible_stations]
+        eligible = [req.ev.id for req in eligible_requests]
         prev_point = t_p
         if not eligible:
             clearings.append(
@@ -111,11 +105,9 @@ def run_online(
         )
         model = build_model(dataclasses.replace(
             instance,
-            requests=tuple(
-                instance.request(aid) for aid in list(committed_assigned) + eligible
-            ),
+            requests=tuple(instance.request(aid) for aid in committed_assigned)
+            + tuple(eligible_requests),
             pinned=pinned,
-            frozen_before=t_p,
         ))
         result = solver(model)
         allocation = result.allocation

@@ -8,6 +8,7 @@ counterfactual optima must be proven, not time-limited incumbents.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from functools import partial
 from typing import Callable, Iterable, Optional
@@ -56,7 +57,10 @@ def price_coop(
     their slots stay unallocated (no re-optimization), and the imbalance is
     re-measured on the thinned schedule.  agent_ids limits pricing to the
     given agents (used by online clearings); everyone else keeps payment 0.
+    An incr that is not a finite number >= 0 raises ValueError.
     """
+    if not 0 <= incr < math.inf:  # NaN included
+        raise ValueError(f"incr must be a finite number >= 0, got {incr}")
     incr_mil = round(incr * 1000)
     payments: dict[str, Money] = {}
     utilities: dict[str, Money] = {}

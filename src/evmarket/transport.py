@@ -200,3 +200,15 @@ def reprice_requests(
         }
         out.append(_request(ev, per_station))
     return out
+
+
+def remaining_request(req: EvRequest, not_before: int) -> EvRequest:
+    """The request a market clearing at not_before sees: every window cut to
+    start at not_before or later, and a station dropped once the rest of its
+    window no longer fits the charging slots the EV needs."""
+    per_station = {}
+    for sid, acc in req.per_station.items():
+        arrival = max(acc.arrival, not_before)
+        if acc.departure - arrival >= acc.charge_slots_needed:
+            per_station[sid] = dataclasses.replace(acc, arrival=arrival)
+    return _request(req.ev, per_station)

@@ -18,6 +18,7 @@ from evmarket import (
 )
 from evmarket.allocator import Infeasible, InfeasiblePin, _dual_bound, _Session, evaluate_objective
 from evmarket.experiments import DESK, DESK_CONTESTED
+from evmarket.transport import remaining_request
 
 from conftest import (
     drop_agent, flat_instance, make_ev, make_station, milp_allocation, random_flat_instance,
@@ -244,19 +245,24 @@ def test_validate_reports_unknown_station(tiny2):
     assert "unknown-station" in codes
 
 
-def test_frozen_before_blocks_past_slots():
+def _cut(inst, not_before, keep=()):
+    """inst as a clearing at not_before sees it: every request but those of
+    the agents in keep cut to start at not_before."""
+    return dataclasses.replace(inst, requests=tuple(
+        r if r.ev.id in keep else remaining_request(r, not_before) for r in inst.requests))
+
+
+def test_cut_request_blocks_past_slots():
     inst = flat_instance(
         [make_station("L1", dem=(0, 0, 0, 0))],
         [make_ev("a1", demand=2, valuation=500, park=4)],
         horizon=4,
     )
-    frozen = dataclasses.replace(inst, frozen_before=3)
-    result = solve_exact(build_model(frozen))
+    result = solve_exact(build_model(_cut(inst, 3)))
     # only one schedulable point remains: demand can't fit, nothing allocated
     assert result.allocation.schedule == frozenset()
 
-    frozen2 = dataclasses.replace(inst, frozen_before=2)
-    result2 = solve_exact(build_model(frozen2))
+    result2 = solve_exact(build_model(_cut(inst, 2)))
     assert {t for _, _, t in result2.allocation.schedule} == {2, 3}
 
 
@@ -285,6 +291,13 @@ DESK30_PINS = Allocation(
     }),
     objective=0,
 )
+
+
+def _desk30_pinned():
+    """The desk-30 seed-1000 market as a clearing at 6 after DESK30_PINS sees it."""
+    inst = _cut(generate(DESK, 1000), 6, keep=DESK30_PINS.assigned)
+    return dataclasses.replace(inst, pinned=DESK30_PINS)
+
 
 # Digests of the two models as HiGHS has always been given them; a change to
 # variable order, row order or any coefficient changes at least one.
@@ -320,23 +333,22 @@ GOLDEN_MODELS = {
 def test_model_matches_golden_digests(case):
     # variable order, row order and the entries within each row are part of
     # the model HiGHS sees; any change to them must be deliberate
-    inst = generate(DESK, 1000)
-    if case == "desk30-pinned":
-        inst = dataclasses.replace(inst, pinned=DESK30_PINS, frozen_before=6)
+    inst = _desk30_pinned() if case == "desk30-pinned" else generate(DESK, 1000)
     assert _model_digests(build_model(inst)) == GOLDEN_MODELS[case]
 
 
-def _fractional_market(frozen_before=0):
+def _fractional_market(not_before=0):
     """One charger over four points: a and b each need two of the first
     three, c one of them, d the last one alone.  The LP relaxation splits a
-    and b, yet its value, 301, is the integer optimum (a or b, with c and d)."""
+    and b, yet its value, 301, is the integer optimum (a or b, with c and d).
+    Every window is cut to start at not_before."""
     inst = flat_instance(
         [make_station("L1", elec_cost=0, dem=(0, 0, 0, 0))],
         [make_ev("a", 2, 200, park=3), make_ev("b", 2, 200, park=3),
          make_ev("c", 1, 100, park=3), make_ev("d", 1, 1, start=3, park=1)],
         horizon=4,
     )
-    return dataclasses.replace(inst, frozen_before=frozen_before)
+    return _cut(inst, not_before)
 
 
 def _cold_lp(model, lb, ub):
@@ -374,7 +386,8 @@ def test_dual_bound_refuses_unsound_multipliers():
 
 @pytest.mark.parametrize("case", ["one-cent-below", "invalid", "frozen-slot"])
 def test_unproven_incumbent_goes_to_milp(case):
-    inst = _fractional_market(frozen_before=1 if case == "frozen-slot" else 0)
+    not_before = 1 if case == "frozen-slot" else 0
+    inst = _fractional_market(not_before)
     model = build_model(inst)
     best = solve_exact(model).allocation
     winner, loser = ("a", "b") if best.assigned["a"] else ("b", "a")
@@ -385,11 +398,13 @@ def test_unproven_incumbent_goes_to_milp(case):
     elif case == "invalid":  # same welfare, but the loser charges unassigned
         t = min(t for aid, _, t in schedule if aid == winner)
         schedule = schedule | {(loser, "L1", t)}
-    else:  # valid by validate_allocation, but charges in the frozen slot 0
+    else:  # the optimum's welfare, but the winner charges in the frozen slot 0
         schedule = frozenset({(winner, "L1", 0), (winner, "L1", 1), ("d", "L1", 3)})
     welfare = evaluate_objective(inst, assigned, schedule)
     assert welfare == best.objective - (case == "one-cent-below")
-    assert (validate_allocation(inst, Allocation(assigned, schedule, welfare)) == []) == (case != "invalid")
+    violations = {v.code for v in validate_allocation(inst, Allocation(assigned, schedule, welfare))}
+    assert (violations == set()) == (case == "one-cent-below")
+    assert ("outside-window" in violations) == (case == "frozen-slot")  # the slot before the cut
     # on a fresh model: the relaxation of the unfrozen market has fractional
     # binaries, while after the main solve's branch-and-cut its LP run
     # warm-starts onto an integral vertex of the same value
@@ -399,7 +414,7 @@ def test_unproven_incumbent_goes_to_milp(case):
     assert (result.status, result.proof, result.allocation.objective) == (
         "optimal", rung, best.objective)
     assert validate_allocation(inst, result.allocation) == []
-    assert all(t >= inst.frozen_before for _, _, t in result.allocation.schedule)
+    assert all(t >= not_before for _, _, t in result.allocation.schedule)
 
 
 def test_proof_names_the_rung():
@@ -499,7 +514,7 @@ def test_solve_without_agent_matches_bruteforce(tiny1, tiny2):
 def test_time_limited_solve_keeps_the_pins():
     # the fallback when the clock runs out: every variable at its lower
     # bound, which holds exactly the pins
-    inst = dataclasses.replace(generate(DESK, 1000), pinned=DESK30_PINS, frozen_before=6)
+    inst = _desk30_pinned()
     result = solve_exact(build_model(inst), time_limit=0.0)
     assert result.status == "feasible_time_limited"
     assert validate_allocation(inst, result.allocation) == []

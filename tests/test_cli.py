@@ -149,6 +149,12 @@ def test_time_limit_reaches_every_solve(tmp_path, tiny1_file, monkeypatch):
     ("calibrate-incr", ["--n-instances", "0"]),
     ("calibrate-incr", ["--step", "0"]),
     ("exp", ["4", "--reps", "0"]),
+    ("solve", ["--incr", "-2", "--mechanism", "coop"]),
+    ("solve", ["--incr", "nan", "--mechanism", "coop"]),
+    ("online", ["--incr", "-2", "--mechanism", "coop"]),
+    ("online", ["--incr", "inf"]),
+    ("online", ["--clearing-points", "0", "2"]),
+    ("online", ["--clearing-points", "2", "5"]),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
 def test_flag_no_run_can_honour_exits_1(tmp_path, tiny1_file, capsys, command, flags):
     # a negative limit is refused by HiGHS and NaN is taken as one; neither

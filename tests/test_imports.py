@@ -1,5 +1,6 @@
 """Every name a library module imports is used in it (no linter is installed),
-and importing the library leaves scipy.optimize and scipy.stats unloaded."""
+the library holds no assert statement, and importing the library leaves
+scipy.optimize and scipy.stats unloaded."""
 
 import ast
 import os
@@ -43,6 +44,14 @@ def test_no_unused_imports(path):
         if name not in _used(tree)
     )
     assert unused == [], f"{path.name} imports names it never uses: {unused}"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    # python -O strips assert, so a check that guards soundness must raise instead
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == [], f"{path.name} has assert statements on lines {lines}"
 
 
 def _python(code: str) -> str:

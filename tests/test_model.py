@@ -1,6 +1,6 @@
 import pytest
 
-from evmarket import EvType, MONEY_SCALE, Station, StationAccess, imbalance_cost
+from evmarket import EvType, MONEY_SCALE, Station, imbalance_cost
 
 from conftest import flat_instance, make_ev, make_station
 
@@ -65,11 +65,3 @@ def test_instance_rejects_duplicate_ids(tiny1):
         dataclasses.replace(tiny1, requests=(tiny1.requests[0], tiny1.requests[0]))
     with pytest.raises(ValueError, match="duplicate station id 'L1'"):
         dataclasses.replace(tiny1, stations=(tiny1.stations[0], tiny1.stations[0]))
-
-
-def test_first_slot_respects_frozen_prefix():
-    acc = StationAccess(
-        arrival=2, departure=6, valuation=1, time_cost=0,
-        battery_on_arrival=0, charge_slots_needed=2,
-    )
-    assert [acc.first_slot(t) for t in (0, 2, 3, 4, 5)] == [2, 2, 3, 4, None]

@@ -133,6 +133,29 @@ def test_offline_dominates_online(seed):
     assert validate_allocation(inst, online.allocation) == []
 
 
+def _engines_agree(model, incumbent=None, without=None):
+    """solve_exact, checked against the oracle on the same market."""
+    exact = solve_exact(model, incumbent=incumbent, without=without)
+    oracle = bf_solver(model, without=without)
+    assert exact.status == "optimal"
+    assert exact.allocation.objective == oracle.allocation.objective
+    assert validate_allocation(model.instance, exact.allocation) == []
+    return exact
+
+
+@pytest.mark.parametrize("mechanism", ["vcg", "coop"])
+@pytest.mark.parametrize("seed", range(40))
+def test_exact_engines_agree_on_every_clearing(seed, mechanism):
+    # each clearing is a pinned market of window-cut requests, and each VCG
+    # counterfactual one without a winner; HiGHS and the oracle agree on all
+    inst = random_flat_instance(seed + 2000)
+    horizon = inst.time_grid.horizon_len
+    pts = tuple(sorted({max(1, horizon // 3), max(2, 2 * horizon // 3), horizon}))
+    online = run_online(inst, ClearingSchedule(pts), mechanism=mechanism, incr=0.0,
+                        solver=_engines_agree, carryover=True)
+    assert validate_allocation(inst, online.allocation) == []
+
+
 def test_online_coop_pricing(tiny1):
     online = run_online(
         tiny1, ClearingSchedule((1,)), mechanism="coop", incr=0.0, solver=bf_solver

@@ -53,6 +53,14 @@ def test_coop_tiny1_zero_markup(tiny1):
     assert out.budget == 0
 
 
+def test_coop_markup_no_run_can_honour_raises(tiny1):
+    # a negative markup charges negative fees; NaN and infinity cannot be rounded
+    alloc = solve_exact(build_model(tiny1)).allocation
+    for bad in (-0.001, -2.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="incr"):
+            price_coop(tiny1, alloc, bad)
+
+
 def test_vcg_tiny2(tiny2):
     alloc = solve_exact(build_model(tiny2)).allocation
     out = price_vcg(tiny2, alloc, solver=bf_solver)

@@ -7,7 +7,7 @@ import evmarket.transport
 from evmarket import GenParams, RoadNetwork, TimeCostParams, TimeGrid, build_requests, generate
 from evmarket.experiments import DESK, DESK_CONTESTED
 from evmarket.serialize import instance_from_dict, instance_to_dict
-from evmarket.transport import distances_km
+from evmarket.transport import distances_km, remaining_request
 
 from conftest import make_ev, make_station
 
@@ -160,6 +160,19 @@ def test_reprice_requests():
     assert out[0].ev.base_valuation == 0
     assert out[0].feasible_stations == frozenset()
     assert out[1] is reqs[1]
+
+
+def test_remaining_request_cuts_the_frozen_prefix():
+    # window [2, 6) needing 2 slots, cut at each of five clearing times
+    ev = make_ev("a1", demand=2, valuation=300, start=2, park=4)
+    req = build_requests(None, [ev], [make_station("L1")], TimeGrid(6))[0]
+    cut = [remaining_request(req, t) for t in (0, 2, 3, 4, 5)]
+    assert [r.access("L1").arrival for r in cut[:4]] == [2, 2, 3, 4]
+    assert cut[2].access("L1") == dataclasses.replace(req.access("L1"), arrival=3)  # only the arrival moves
+    assert all(r.feasible_stations == frozenset({"L1"}) for r in cut[:4])
+    # at 5 one slot is left of the two needed: the station is dropped
+    assert (cut[4].per_station, cut[4].feasible_stations) == ({}, frozenset())
+    assert all(r.ev is ev for r in cut)
 
 
 def _request_digest(instance):
