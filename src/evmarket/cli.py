@@ -180,8 +180,10 @@ def cmd_online(args) -> int:
         if not 1 <= schedule.points[0] <= schedule.points[-1] <= horizon:
             raise UsageError(f"--clearing-points must lie in [1, {horizon}], got {args.clearing_points}")
     else:
-        clearings = _at_least_one("--clearings", args.clearings)
-        schedule = ClearingSchedule.evenly(instance.time_grid.horizon_len, clearings)
+        try:
+            schedule = ClearingSchedule.evenly(instance.time_grid.horizon_len, args.clearings)
+        except ValueError as exc:
+            raise UsageError(f"--clearings: {exc}") from None
     t0 = time.perf_counter()
     try:
         online = run_online(

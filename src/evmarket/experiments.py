@@ -93,8 +93,7 @@ def _clearing_schedule(params: GenParams, clearings: int) -> ClearingSchedule:
     # sees every report, and later points would only truncate the remaining
     # charging windows of short-stay agents.
     last = min(params.horizon, round(params.arrival_frac * params.horizon) + 1)
-    pts = sorted({max(1, round(last * (k + 1) / clearings)) for k in range(clearings)})
-    return ClearingSchedule(tuple(pts))
+    return ClearingSchedule.evenly(last, clearings)
 
 
 # ---------------------------------------------------------------- EXP 1

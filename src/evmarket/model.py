@@ -83,6 +83,10 @@ class EvType:
             raise ValueError(f"ev {self.id}: base_valuation must be >= 0")
         if self.park_duration < 1:
             raise ValueError(f"ev {self.id}: park_duration must be >= 1")
+        if self.start_time < 0:
+            raise ValueError(f"ev {self.id}: start_time must be >= 0")
+        if self.time_cost < 0:
+            raise ValueError(f"ev {self.id}: time_cost must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -157,6 +161,8 @@ class Instance:
     _requests_by_id: dict[str, EvRequest] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if self.imbalance_unit_cost < 0:
+            raise ValueError("imbalance_unit_cost must be >= 0")
         stations = _index(self.stations, lambda s: s.id, "station")
         requests = _index(self.requests, lambda r: r.ev.id, "EV")
         for req in self.requests:

@@ -32,8 +32,11 @@ class ClearingSchedule:
 
     @staticmethod
     def evenly(horizon: int, count: int) -> "ClearingSchedule":
-        pts = tuple(sorted({round(horizon * (k + 1) / count) for k in range(count)}))
-        return ClearingSchedule(points=pts)
+        """count clearings spread over (0, horizon]; for 1 <= count <= horizon
+        the rounded points are always count distinct times, all >= 1."""
+        if not 1 <= count <= horizon:
+            raise ValueError(f"clearing count must lie in [1, {horizon}], got {count}")
+        return ClearingSchedule(tuple(round(horizon * (k + 1) / count) for k in range(count)))
 
 
 @dataclass

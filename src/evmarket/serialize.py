@@ -3,86 +3,128 @@
 The instance document carries `time_grid`, `stations`, `evs`,
 `imbalance_unit_cost`, and an optional `network`; requests are rebuilt from
 the EV reports on load.  Money and energy fields are fixed-point integers
-with the scale recorded in the header.
+with the scale recorded in the header.  Each section's keys are stated once,
+as a table of (key, type, default) that drives both the writer and the
+reader; the reader rejects a mistyped, missing or unknown key by its full
+name, as in `stations[1].slots`.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from typing import Optional, TextIO
+import math
+from typing import TextIO
 
-from .model import (
-    MONEY_SCALE,
-    Allocation,
-    EvType,
-    Instance,
-    PricingOutcome,
-    Station,
-    TimeGrid,
-)
+from .model import MONEY_SCALE, Allocation, EvType, Instance, PricingOutcome, Station, TimeGrid
 from .transport import LocationError, NetworkError, RoadNetwork, TimeCostParams, build_requests
 
 FORMAT_VERSION = "1"
 
+REQUIRED = object()  # a table default: the key must be present
+POSITION = object()  # a table default: the entry's index in its section
+INTS = (int,)  # a table type: a list of integers
+_TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string",
+               dict: "an object", list: "a list", INTS: "a list of integers"}
+
+DOCUMENT_KEYS = (
+    ("format_version", str, FORMAT_VERSION),  # must equal FORMAT_VERSION
+    ("scale", int, MONEY_SCALE),  # must equal MONEY_SCALE
+    ("time_grid", dict, REQUIRED),
+    ("stations", list, REQUIRED),
+    ("evs", list, REQUIRED),
+    ("imbalance_unit_cost", int, REQUIRED),
+    ("network", dict, None),  # absent for a flat instance
+)
+TIME_GRID_KEYS = (("horizon_len", int, REQUIRED), ("minutes_per_point", int, 15))
+STATION_KEYS = (
+    ("id", str, REQUIRED), ("location", int, POSITION), ("slots", int, REQUIRED),
+    ("rate", int, REQUIRED), ("elec_cost", int, REQUIRED), ("expected_demand", INTS, REQUIRED),
+)
+EV_KEYS = (
+    ("id", str, REQUIRED), ("discharge_rate", float, 1.0),
+    ("battery_capacity", int, REQUIRED), ("battery_initial", int, REQUIRED),
+    ("start_location", int, 0), ("start_time", int, REQUIRED),
+    ("end_location", int, 0), ("park_duration", int, REQUIRED),
+    ("energy_demand", int, REQUIRED), ("base_valuation", int, REQUIRED), ("time_cost", int, 0),
+)
+NETWORK_KEYS = (
+    ("nodes", INTS, REQUIRED), ("edges", list, REQUIRED), ("charging_nodes", INTS, REQUIRED),
+    ("avg_speed", float, 1.0), ("per_drive_point", int, 0), ("per_walk_km", int, 0),
+)
+EDGE_KEYS = (("a", int, REQUIRED), ("b", int, REQUIRED), ("km", float, REQUIRED))
+
 
 class FormatError(Exception):
-    """The document is missing or mistypes a required key."""
+    """The document is missing, mistypes or breaks the rule of a key; key
+    names it, as in `evs[2].start_time`, or the entry, as in `stations[1]`."""
 
     def __init__(self, key: str, message: str):
         super().__init__(f"{key}: {message}")
         self.key = key
 
 
-def _require(doc: dict, key: str):
-    if key not in doc:
-        raise FormatError(key, "missing required key")
-    return doc[key]
+def _value(key: str, value, kind):
+    if kind is INTS and type(value) is list:
+        return tuple(_value(f"{key}[{j}]", v, int) for j, v in enumerate(value))
+    # a bool is no integer, an integer is a float, and NaN or inf is no number
+    ok = type(value) in (int, float) and math.isfinite(value) if kind is float else type(value) is kind
+    if not ok:
+        raise FormatError(key, f"must be {_TYPE_NAMES[kind]}")
+    return float(value) if kind is float else value
 
 
-def _require_unique_ids(items, section: str) -> None:
-    seen = set()
-    for i, item in enumerate(items):
-        if item.id in seen:
-            raise FormatError(f"{section}[{i}].id", f"duplicate id {item.id!r}")
-        seen.add(item.id)
+def _read(doc, table, where: str = "", index: int = 0) -> dict:
+    """Every key of one section, type-checked, with defaults filled in."""
+    if type(doc) is not dict:
+        raise FormatError(where or "json", "must be an object")
+    prefix = f"{where}." if where else ""
+    names = [key for key, _, _ in table]
+    unknown = [key for key in doc if key not in names]
+    if unknown:
+        raise FormatError(prefix + unknown[0], "unknown key")
+    fields = {}
+    for key, kind, default in table:
+        if key in doc:
+            fields[key] = _value(prefix + key, doc[key], kind)
+        elif default is REQUIRED:
+            raise FormatError(prefix + key, "missing required key")
+        else:
+            fields[key] = index if default is POSITION else default
+    return fields
+
+
+def _build(cls, key: str, fields: dict):
+    """cls(**fields), its own ValueError reported against key."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise FormatError(key, str(exc)) from exc
+
+
+def _entries(top: dict, section: str, table, cls) -> tuple:
+    items, ids = [], set()
+    for i, doc in enumerate(top[section]):
+        where = f"{section}[{i}]"
+        item = _build(cls, where, _read(doc, table, where, i))
+        if item.id in ids:
+            raise FormatError(f"{where}.id", f"duplicate id {item.id!r}")
+        ids.add(item.id)
+        items.append(item)
+    return tuple(items)
+
+
+def _dump(obj, table) -> dict:
+    return {key: list(getattr(obj, key)) if kind is INTS else getattr(obj, key) for key, kind, _ in table}
 
 
 def instance_to_dict(instance: Instance) -> dict:
     doc = {
         "format_version": FORMAT_VERSION,
         "scale": MONEY_SCALE,
-        "time_grid": {
-            "horizon_len": instance.time_grid.horizon_len,
-            "minutes_per_point": instance.time_grid.minutes_per_point,
-        },
-        "stations": [
-            {
-                "id": s.id,
-                "location": s.location,
-                "slots": s.slots,
-                "rate": s.rate,
-                "elec_cost": s.elec_cost,
-                "expected_demand": list(s.expected_demand),
-            }
-            for s in instance.stations
-        ],
-        "evs": [
-            {
-                "id": e.id,
-                "discharge_rate": e.discharge_rate,
-                "battery_capacity": e.battery_capacity,
-                "battery_initial": e.battery_initial,
-                "start_location": e.start_location,
-                "start_time": e.start_time,
-                "end_location": e.end_location,
-                "park_duration": e.park_duration,
-                "energy_demand": e.energy_demand,
-                "base_valuation": e.base_valuation,
-                "time_cost": e.time_cost,
-            }
-            for e in instance.evs
-        ],
+        "time_grid": _dump(instance.time_grid, TIME_GRID_KEYS),
+        "stations": [_dump(s, STATION_KEYS) for s in instance.stations],
+        "evs": [_dump(e, EV_KEYS) for e in instance.evs],
         "imbalance_unit_cost": instance.imbalance_unit_cost,
     }
     net = instance.network
@@ -99,81 +141,40 @@ def instance_to_dict(instance: Instance) -> dict:
 
 
 def instance_from_dict(doc: dict) -> Instance:
-    try:
-        tg = _require(doc, "time_grid")
-        grid = TimeGrid(
-            horizon_len=int(_require(tg, "horizon_len")),
-            minutes_per_point=int(tg.get("minutes_per_point", 15)),
-        )
-        stations = tuple(
-            Station(
-                id=str(_require(s, "id")),
-                location=int(s.get("location", i)),
-                slots=int(_require(s, "slots")),
-                rate=int(_require(s, "rate")),
-                elec_cost=int(_require(s, "elec_cost")),
-                expected_demand=tuple(int(d) for d in _require(s, "expected_demand")),
-            )
-            for i, s in enumerate(_require(doc, "stations"))
-        )
-        _require_unique_ids(stations, "stations")
-        evs = tuple(
-            EvType(
-                id=str(_require(e, "id")),
-                discharge_rate=float(e.get("discharge_rate", 1.0)),
-                battery_capacity=int(_require(e, "battery_capacity")),
-                battery_initial=int(_require(e, "battery_initial")),
-                start_location=int(e.get("start_location", 0)),
-                start_time=int(_require(e, "start_time")),
-                end_location=int(e.get("end_location", 0)),
-                park_duration=int(_require(e, "park_duration")),
-                energy_demand=int(_require(e, "energy_demand")),
-                base_valuation=int(_require(e, "base_valuation")),
-                time_cost=int(e.get("time_cost", 0)),
-            )
-            for e in _require(doc, "evs")
-        )
-        _require_unique_ids(evs, "evs")
-        imbalance = int(_require(doc, "imbalance_unit_cost"))
-        network: Optional[RoadNetwork] = None
-        if doc.get("network") is not None:
-            nd = doc["network"]
-            try:
-                network = RoadNetwork(
-                    nodes=frozenset(int(n) for n in _require(nd, "nodes")),
-                    edges=tuple(
-                        (int(e["a"]), int(e["b"]), float(e["km"])) for e in _require(nd, "edges")
-                    ),
-                    charging_nodes=frozenset(int(n) for n in _require(nd, "charging_nodes")),
-                    avg_speed=float(nd.get("avg_speed", 1.0)),
-                    time_cost=TimeCostParams(
-                        per_drive_point=int(nd.get("per_drive_point", 0)),
-                        per_walk_km=int(nd.get("per_walk_km", 0)),
-                    ),
-                )
-            except NetworkError as exc:
-                raise FormatError(f"network.{exc.field}", exc.message) from exc
-            for i, e in enumerate(evs):
-                if not e.discharge_rate >= 0:
-                    raise FormatError(f"evs[{i}].discharge_rate", "must be >= 0")
+    top = _read(doc, DOCUMENT_KEYS)
+    for key, want in (("format_version", FORMAT_VERSION), ("scale", MONEY_SCALE)):
+        if top[key] != want:
+            raise FormatError(key, f"must be {want!r}")
+    grid = _build(TimeGrid, "time_grid", _read(top["time_grid"], TIME_GRID_KEYS, "time_grid"))
+    stations = _entries(top, "stations", STATION_KEYS, Station)
+    evs = _entries(top, "evs", EV_KEYS, EvType)
+    network = None
+    if top["network"] is not None:
+        nd = _read(top["network"], NETWORK_KEYS, "network")
+        edges = tuple(tuple(_read(e, EDGE_KEYS, f"network.edges[{i}]").values())
+                      for i, e in enumerate(nd["edges"]))
         try:
-            requests = tuple(build_requests(network, evs, stations, grid))
-        except LocationError as exc:
-            # ids are unique per section; only a station has a plain "location"
-            section, items = ("stations", stations) if exc.field == "location" else ("evs", evs)
-            i = next(i for i, item in enumerate(items) if item.id == exc.id)
-            raise FormatError(f"{section}[{i}].{exc.field}", str(exc)) from exc
-        return Instance(
-            time_grid=grid,
-            stations=stations,
-            requests=requests,
-            imbalance_unit_cost=imbalance,
-            network=network,
-        )
-    except FormatError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError("document", str(exc)) from exc
+            network = RoadNetwork(
+                nodes=frozenset(nd["nodes"]), edges=edges, charging_nodes=frozenset(nd["charging_nodes"]),
+                avg_speed=nd["avg_speed"], time_cost=TimeCostParams(nd["per_drive_point"], nd["per_walk_km"]))
+        except NetworkError as exc:
+            # the document flattens RoadNetwork.time_cost into network
+            raise FormatError(f"network.{exc.field.removeprefix('time_cost.')}", exc.message) from exc
+        for i, e in enumerate(evs):
+            if not e.discharge_rate >= 0:
+                raise FormatError(f"evs[{i}].discharge_rate", "must be >= 0")
+    try:
+        requests = tuple(build_requests(network, evs, stations, grid))
+    except LocationError as exc:
+        # ids are unique per section; only a station has a plain "location"
+        section, items = ("stations", stations) if exc.field == "location" else ("evs", evs)
+        i = next(i for i, item in enumerate(items) if item.id == exc.id)
+        raise FormatError(f"{section}[{i}].{exc.field}", str(exc)) from exc
+    # ids are unique by now, so the instance's only rule a document can break
+    # is its own imbalance_unit_cost
+    return _build(Instance, "imbalance_unit_cost", dict(
+        time_grid=grid, stations=stations, requests=requests,
+        imbalance_unit_cost=top["imbalance_unit_cost"], network=network))
 
 
 def dump_instance(instance: Instance, path: str) -> None:

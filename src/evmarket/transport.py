@@ -53,6 +53,9 @@ class RoadNetwork:
             raise NetworkError("charging_nodes", "must be a subset of nodes")
         if not self.avg_speed > 0:
             raise NetworkError("avg_speed", "must be > 0")
+        for name in ("per_drive_point", "per_walk_km"):
+            if getattr(self.time_cost, name) < 0:
+                raise NetworkError(f"time_cost.{name}", "must be >= 0")
         for i, (a, b, km) in enumerate(self.edges):
             for end, node in (("a", a), ("b", b)):
                 if node not in self.nodes:

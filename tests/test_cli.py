@@ -90,6 +90,28 @@ def test_solve_missing_key_cited(tmp_path, capsys):
     assert "imbalance_unit_cost" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value, err", [
+    ("stations", [{"id": "L1", "slots": 2.7, "rate": 1, "elec_cost": 0, "expected_demand": []}],
+     "stations[0].slots: must be an integer"),
+    ("evs", [{"id": "a1", "battery_capacity": 4, "battery_initial": 0, "start_time": -5,
+              "park_duration": 2, "energy_demand": 1, "base_valuation": 500}],
+     "evs[0]: ev a1: start_time must be >= 0"),
+    ("imbalance_unit_cost", -5, "imbalance_unit_cost: imbalance_unit_cost must be >= 0"),
+    ("scale", 1, "scale: must be 100"),
+])
+def test_solve_bad_value_cited(tmp_path, tiny1_file, capsys, key, value, err):
+    # before the reader checked types and rules, each of these was accepted
+    # as wrong welfare or ended in a solver traceback
+    with open(tiny1_file) as fh:
+        doc = json.load(fh)
+    doc[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: cannot parse instance: {err}\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_online_command(tmp_path, tiny1_file):
     out = tmp_path / "out"
     code = main([
@@ -145,6 +167,8 @@ def test_time_limit_reaches_every_solve(tmp_path, tiny1_file, monkeypatch):
     ("calibrate-incr", ["--time-limit", "-1"]),
     ("exp", ["4", "--time-limit", "-1"]),
     ("online", ["--clearings", "0"]),
+    ("online", ["--clearings", "5"]),
+    ("online", ["--clearings", "10", "--mechanism", "coop"]),
     ("online", ["--clearing-points", "5", "3"]),
     ("calibrate-incr", ["--n-instances", "0"]),
     ("calibrate-incr", ["--step", "0"]),

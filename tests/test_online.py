@@ -4,6 +4,7 @@ import pytest
 
 from evmarket import ClearingSchedule, build_model, run_online, solve_exact
 from evmarket.allocator import validate_allocation
+from evmarket.experiments import _clearing_schedule, desk_params
 from evmarket.pricing import CounterfactualNotOptimal
 
 from conftest import (
@@ -22,6 +23,18 @@ def test_clearing_schedule_validation():
     with pytest.raises(ValueError):
         ClearingSchedule(points=(3, 3))
     assert ClearingSchedule.evenly(24, 5).points == (5, 10, 14, 19, 24)
+
+
+def test_evenly_gives_count_distinct_points_after_0():
+    for horizon in range(1, 60):
+        for count in range(1, horizon + 1):
+            points = ClearingSchedule.evenly(horizon, count).points
+            assert len(points) == count and 1 <= points[0] and points[-1] == horizon
+        for count in (0, horizon + 1):
+            with pytest.raises(ValueError):
+                ClearingSchedule.evenly(horizon, count)
+    # every study clears at the same five points
+    assert _clearing_schedule(desk_params(n_evs=10), 5).points == (3, 6, 9, 12, 15)
 
 
 def test_unknown_mechanism(tiny2):
