@@ -5,11 +5,13 @@ outputs (instance/allocation/summary JSON, pricing CSV, experiment CSVs) are
 byte-identical for a fixed command line and seed; wall-clock measurements go
 into separate files with "timing" in their name.
 
-Exit codes for solve/online/exp: 0 = proven optimum, 2 = time-limited
-incumbent (payments may be missing because VCG refuses an unproven allocation
-or counterfactual; exp then writes no report),
-1 = parse error, a flag value no run can honour, or infeasibility, with a
-diagnostic naming the offending key, flag or constraint.
+Exit codes: 0 = every solve proven optimal; 2 = a time-limited incumbent
+(solve, online), or CounterfactualNotOptimal: VCG refused an unproven
+allocation or counterfactual (solve then writes no pricing, exp no report).
+Every other error maps to its stderr line and code in the ERRORS table read
+by main(): FormatError ("error: cannot parse instance: ..."), Infeasible and
+InfeasiblePin ("error: infeasible: ..."), NoBreakeven, ResampleLimit and
+UsageError, a flag value no run can honour ("error: --flag ..."), exit 1.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .allocator import DEFAULT_TIME_LIMIT, STATUS_OPTIMAL, Infeasible, Infeasibl
 from .model import MONEY_SCALE
 from .online import ClearingSchedule, run_online
 from .pricing import (
+    DEFAULT_INCR,
     MECHANISMS,
     CounterfactualNotOptimal,
     NoBreakeven,
@@ -75,33 +78,35 @@ def _write_json(path: str, doc: dict) -> None:
         fh.write("\n")
 
 
+# each integer generator flag: the GenParams field it sets, and its help
+GEN_FLAGS = {
+    "--n-evs": ("n_evs", None),
+    "--n-stations": ("n_stations", None),
+    "--horizon": ("horizon", None),
+    "--slots": ("slots", None),
+    "--elec-cost": ("elec_cost", "electricity cost, cents per energy unit"),
+    "--imbalance-cost": ("imbalance_unit_cost", "imbalance penalty, cents per unit deviation"),
+    "--max-demand": ("max_demand", None),
+    "--max-park": ("max_park", None),
+}
+
+
 def _add_gen_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n-evs", type=int, default=GenParams.n_evs)
-    p.add_argument("--n-stations", type=int, default=GenParams.n_stations)
-    p.add_argument("--horizon", type=int, default=GenParams.horizon)
-    p.add_argument("--slots", type=int, default=GenParams.slots)
-    p.add_argument("--elec-cost", type=int, default=GenParams.elec_cost,
-                   help="electricity cost, cents per energy unit")
-    p.add_argument("--imbalance-cost", type=int, default=GenParams.imbalance_unit_cost,
-                   help="imbalance penalty, cents per unit deviation")
-    p.add_argument("--max-demand", type=int, default=None)
-    p.add_argument("--max-park", type=int, default=None)
+    for flag, (field, text) in GEN_FLAGS.items():
+        p.add_argument(flag, dest=field, type=int, default=getattr(GenParams, field), help=text)
     p.add_argument("--flat", action="store_true",
                    help="no road network; zero travel costs")
 
 
 def _gen_params(args) -> GenParams:
-    return GenParams(
-        n_evs=args.n_evs,
-        n_stations=args.n_stations,
-        horizon=args.horizon,
-        slots=args.slots,
-        elec_cost=args.elec_cost,
-        imbalance_unit_cost=args.imbalance_cost,
-        max_demand=args.max_demand,
-        max_park=args.max_park,
-        flat=args.flat,
-    )
+    fields = {field: getattr(args, field) for field, _ in GEN_FLAGS.values()}
+    try:
+        return GenParams(flat=args.flat, **fields)
+    except ValueError as exc:
+        # GenParams words each refusal "<field> <rule>"; name the flag instead
+        field, rule = str(exc).split(" ", 1)
+        flag = next(flag for flag, (f, _) in GEN_FLAGS.items() if f == field)
+        raise UsageError(f"{flag} {rule}") from None
 
 
 def cmd_gen(args) -> int:
@@ -110,20 +115,23 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _solve_outputs(out_dir, allocation, status, outcome, mechanism, extra, wall_s):
+def _solve_outputs(args, allocation, status, outcome, extra, wall_s):
+    out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
     _write_json(os.path.join(out_dir, "allocation.json"), allocation_to_dict(allocation))
     summary = {
         "format_version": FORMAT_VERSION,
         "tool_version": __version__,
         "scale": MONEY_SCALE,
-        "mechanism": mechanism,
+        "mechanism": args.mechanism,
         "status": status,
         "objective": allocation.objective,
         "serviced": len(outcome.charged) if outcome else 0,
         "budget": outcome.budget if outcome else None,
         "total_imbalance_cost": outcome.total_imbalance_cost if outcome else None,
     }
+    if args.mechanism == "coop":
+        summary["incr"] = args.incr
     summary.update(extra)
     _write_json(os.path.join(out_dir, "summary.json"), summary)
     if outcome is not None:
@@ -136,41 +144,27 @@ def _solve_outputs(out_dir, allocation, status, outcome, mechanism, extra, wall_
 def cmd_solve(args) -> int:
     solve = functools.partial(solve_exact, time_limit=_time_limit(args))
     _check_incr(args)
-    try:
-        instance = load_instance(args.instance)
-    except FormatError as exc:
-        print(f"error: cannot parse instance: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    instance = load_instance(args.instance)
     t0 = time.perf_counter()
-    try:
-        model = build_model(instance)
-        result = solve(model)
-    except (Infeasible, InfeasiblePin) as exc:
-        print(f"error: infeasible: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    model = build_model(instance)
+    result = solve(model)
     outcome = None
     note = {}
     code = EXIT_OK if result.status == STATUS_OPTIMAL else EXIT_TIME_LIMITED
-    if args.mechanism == "coop":
-        note["incr"] = args.incr
     try:
         outcome = price(args.mechanism, model, result, args.incr, solver=solve)
     except CounterfactualNotOptimal as exc:
         note["pricing_error"] = str(exc)
         code = EXIT_TIME_LIMITED
-    _solve_outputs(args.out, result.allocation, result.status, outcome, args.mechanism,
-                   note, time.perf_counter() - t0)
+    _solve_outputs(args, result.allocation, result.status, outcome, note,
+                   time.perf_counter() - t0)
     return code
 
 
 def cmd_online(args) -> int:
     solve = functools.partial(solve_exact, time_limit=_time_limit(args))
     _check_incr(args)
-    try:
-        instance = load_instance(args.instance)
-    except FormatError as exc:
-        print(f"error: cannot parse instance: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    instance = load_instance(args.instance)
     if args.clearing_points:
         try:
             schedule = ClearingSchedule(tuple(args.clearing_points))
@@ -185,17 +179,10 @@ def cmd_online(args) -> int:
         except ValueError as exc:
             raise UsageError(f"--clearings: {exc}") from None
     t0 = time.perf_counter()
-    try:
-        online = run_online(
-            instance, schedule, mechanism=args.mechanism, solver=solve,
-            incr=args.incr, carryover=args.carryover,
-        )
-    except (Infeasible, InfeasiblePin) as exc:
-        print(f"error: infeasible: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except CounterfactualNotOptimal as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TIME_LIMITED
+    online = run_online(
+        instance, schedule, mechanism=args.mechanism, solver=solve,
+        incr=args.incr, carryover=args.carryover,
+    )
     wall = time.perf_counter() - t0
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "events.jsonl"), "w") as fh:
@@ -206,11 +193,8 @@ def cmd_online(args) -> int:
                 "committed": sorted(c.newly_committed),
                 "status": c.status,
             }, sort_keys=True) + "\n")
-    extra = {"mode": "online", "clearing_points": list(schedule.points)}
-    if args.mechanism == "coop":
-        extra["incr"] = args.incr
-    _solve_outputs(args.out, online.allocation, online.status, online.outcome,
-                   args.mechanism, extra, wall)
+    _solve_outputs(args, online.allocation, online.status, online.outcome,
+                   {"mode": "online", "clearing_points": list(schedule.points)}, wall)
     return EXIT_OK if online.status == STATUS_OPTIMAL else EXIT_TIME_LIMITED
 
 
@@ -220,11 +204,7 @@ def cmd_calibrate(args) -> int:
         raise UsageError(f"--step must be > 0, got {args.step}")
     family = [generate(_gen_params(args), args.seed + k)
               for k in range(_at_least_one("--n-instances", args.n_instances))]
-    try:
-        incr = calibrate_incr(family, step=args.step, solver=solver)
-    except NoBreakeven as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    incr = calibrate_incr(family, step=args.step, solver=solver)
     doc = {"incr": round(incr, 6), "n_instances": args.n_instances, "seed": args.seed}
     if args.out:
         _write_json(args.out, doc)
@@ -235,12 +215,8 @@ def cmd_calibrate(args) -> int:
 def cmd_exp(args) -> int:
     time_limit, reps = _time_limit(args), _at_least_one("--reps", args.reps)
     os.makedirs(args.out, exist_ok=True)
-    runner = experiments.RUNNERS[args.number]
-    try:
-        paths = runner(args.out, reps=reps, seed0=args.seed, time_limit=time_limit)
-    except CounterfactualNotOptimal as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TIME_LIMITED
+    paths = experiments.RUNNERS[args.number](args.out, reps=reps, seed0=args.seed,
+                                             time_limit=time_limit)
     for p in paths:
         print(p)
     return EXIT_OK
@@ -266,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", parents=[common], help="solve and price one instance offline")
     p.add_argument("instance")
     p.add_argument("--mechanism", choices=MECHANISMS, default="vcg")
-    p.add_argument("--incr", type=float, default=experiments.DEFAULT_INCR,
+    p.add_argument("--incr", type=float, default=DEFAULT_INCR,
                    help="coop markup fraction")
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_solve)
@@ -274,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("online", parents=[common], help="run periodic market clearing")
     p.add_argument("instance")
     p.add_argument("--mechanism", choices=MECHANISMS, default="vcg")
-    p.add_argument("--incr", type=float, default=experiments.DEFAULT_INCR)
+    p.add_argument("--incr", type=float, default=DEFAULT_INCR)
     p.add_argument("--clearings", type=int, default=5,
                    help="number of evenly spaced clearing points")
     p.add_argument("--clearing-points", type=int, nargs="+", default=None,
@@ -301,13 +277,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# each library error: the prefix of its message on stderr, and the exit code
+ERRORS = (
+    (FormatError, "cannot parse instance: ", EXIT_ERROR),
+    ((Infeasible, InfeasiblePin), "infeasible: ", EXIT_ERROR),
+    (CounterfactualNotOptimal, "", EXIT_TIME_LIMITED),
+    ((NoBreakeven, ResampleLimit, UsageError), "", EXIT_ERROR),
+)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ResampleLimit, UsageError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    except Exception as exc:
+        for kinds, prefix, code in ERRORS:
+            if isinstance(exc, kinds):
+                print(f"error: {prefix}{exc}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

@@ -25,8 +25,8 @@ from typing import Optional
 
 from .allocator import DEFAULT_TIME_LIMIT, build_model, solve_exact
 from .model import Instance, Money
-from .online import ClearingSchedule, run_online
-from .pricing import MECHANISMS, Solver, price
+from .online import ClearingSchedule, OnlineResult, run_online
+from .pricing import DEFAULT_INCR, MECHANISMS, Solver, price
 from .scenario import GenParams, generate, perturb_reports
 
 # Desk-scale profile: small enough that every exact solve (including VCG
@@ -59,41 +59,77 @@ DESK_CONTESTED = replace(
     value_per_unit_max=200,
 )
 
-DEFAULT_INCR = 0.025
 SCHEMA_VERSION = "1"
 
+# Each study's fixed design.  The Coop markup of every study is the
+# library default, pricing.DEFAULT_INCR.
+EXP1_EV_COUNTS = (0, 5, 10, 15, 20, 25, 30)
+EXP2_EV_COUNTS = (10, 20, 30)
+CLEARINGS = 5  # online clearing points of exp 1 and exp 2
+EXP3_STATION_COUNTS = (2, 4, 6, 8)
+EXP4_LIAR_FRACTION = 0.10
+EXP4_MULTIPLIER = 1.80
 
-def desk_params(**overrides) -> GenParams:
-    return replace(DESK, **overrides)
+
+def _mean(values) -> float:
+    return statistics.fmean(values) if values else 0.0
 
 
 def _fmt_cell(values: list[float]) -> str:
-    mean = statistics.fmean(values) if values else 0.0
     std = statistics.stdev(values) if len(values) > 1 else 0.0
-    return f"{mean:.4f}±{std:.4f}"
+    return f"{_mean(values):.4f}±{std:.4f}"
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
+def _write_csv(out_dir: str, name: str, header: list[str], rows: list[list]) -> str:
+    path = os.path.join(out_dir, name)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow([f"# schema={SCHEMA_VERSION}"])
         w.writerow(header)
         w.writerows(rows)
+    return path
 
 
-def _offline(instance: Instance, mechanism: str, incr: float, solve: Solver):
+def _append(agg: dict, key, **cells: float) -> None:
+    """Add one repetition's cells to the per-key columns of agg."""
+    columns = agg.setdefault(key, {name: [] for name in cells})
+    for name, value in cells.items():
+        columns[name].append(value)
+
+
+def _summary(agg: dict) -> list[list]:
+    """One row per key, in key order: the key, then a mean±std cell per column."""
+    return [[*key, *map(_fmt_cell, columns.values())] for key, columns in sorted(agg.items())]
+
+
+def _desk_markets(field: str, values: tuple[int, ...], reps: int, seed0: int):
+    """A study's markets: (value, seed, params, instance) for each value of
+    one DESK field and each of reps seeds from seed0."""
+    for value in values:
+        params = replace(DESK, **{field: value})
+        for seed in range(seed0, seed0 + reps):
+            yield value, seed, params, generate(params, seed)
+
+
+def _offline(instance: Instance, mechanism: str, solve: Solver):
     model = build_model(instance)
     result = solve(model)
-    return result, price(mechanism, model, result, incr, solver=solve)
+    return result, price(mechanism, model, result, DEFAULT_INCR, solver=solve)
 
 
-def _clearing_schedule(params: GenParams, clearings: int) -> ClearingSchedule:
+def _clearing_schedule(params: GenParams) -> ClearingSchedule:
     # Spread the clearing points over the reporting window rather than the
     # whole horizon: the first point past the last possible arrival already
     # sees every report, and later points would only truncate the remaining
     # charging windows of short-stay agents.
     last = min(params.horizon, round(params.arrival_frac * params.horizon) + 1)
-    return ClearingSchedule.evenly(last, clearings)
+    return ClearingSchedule.evenly(last, CLEARINGS)
+
+
+def _online(instance: Instance, params: GenParams, mechanism: str, solve: Solver,
+            carryover: bool) -> OnlineResult:
+    return run_online(instance, _clearing_schedule(params), mechanism=mechanism,
+                      solver=solve, incr=DEFAULT_INCR, carryover=carryover)
 
 
 # ---------------------------------------------------------------- EXP 1
@@ -103,10 +139,7 @@ def run_exp1(
     out_dir: str,
     reps: int = 5,
     seed0: int = 0,
-    ev_counts: tuple[int, ...] = (0, 5, 10, 15, 20, 25, 30),
     time_limit: float = DEFAULT_TIME_LIMIT,
-    incr: float = DEFAULT_INCR,
-    clearings: int = 5,
 ) -> list[str]:
     """Wall-clock runtime vs EV count for each mechanism and mode.
 
@@ -116,29 +149,21 @@ def run_exp1(
     """
     solve = partial(solve_exact, time_limit=time_limit)
     rows = []
-    for n in ev_counts:
-        for rep in range(reps):
-            seed = seed0 + rep
-            params = desk_params(n_evs=n)
-            instance = generate(params, seed)
-            for mechanism in MECHANISMS:
-                t0 = time.perf_counter()
-                result, outcome = _offline(instance, mechanism, incr, solve)
-                dt = time.perf_counter() - t0
-                rows.append([n, "offline", mechanism, seed, f"{dt:.4f}",
-                             len(outcome.charged), result.status])
-                t0 = time.perf_counter()
-                online = run_online(
-                    instance, _clearing_schedule(params, clearings),
-                    mechanism=mechanism, solver=solve, incr=incr,
-                )
-                dt = time.perf_counter() - t0
-                rows.append([n, "online", mechanism, seed, f"{dt:.4f}",
-                             len(online.outcome.charged), online.status])
-    path = os.path.join(out_dir, "exp1_runtime_timing.csv")
-    _write_csv(path, ["n_evs", "mode", "mechanism", "seed", "runtime_s",
-                      "serviced", "status"], rows)
-    return [path]
+    for n, seed, params, instance in _desk_markets("n_evs", EXP1_EV_COUNTS, reps, seed0):
+        for mechanism in MECHANISMS:
+            t0 = time.perf_counter()
+            result, outcome = _offline(instance, mechanism, solve)
+            dt = time.perf_counter() - t0
+            rows.append([n, "offline", mechanism, seed, f"{dt:.4f}",
+                         len(outcome.charged), result.status])
+            t0 = time.perf_counter()
+            online = _online(instance, params, mechanism, solve, carryover=False)
+            dt = time.perf_counter() - t0
+            rows.append([n, "online", mechanism, seed, f"{dt:.4f}",
+                         len(online.outcome.charged), online.status])
+    return [_write_csv(out_dir, "exp1_runtime_timing.csv",
+                       ["n_evs", "mode", "mechanism", "seed", "runtime_s", "serviced", "status"],
+                       rows)]
 
 
 # ---------------------------------------------------------------- EXP 2
@@ -148,52 +173,30 @@ def run_exp2(
     out_dir: str,
     reps: int = 20,
     seed0: int = 0,
-    ev_counts: tuple[int, ...] = (10, 20, 30),
     time_limit: float = DEFAULT_TIME_LIMIT,
-    incr: float = DEFAULT_INCR,
-    clearings: int = 5,
 ) -> list[str]:
     """Serviced fraction and mean agent utility per mechanism and mode."""
     solve = partial(solve_exact, time_limit=time_limit)
     per_rep = []
     agg: dict[tuple, dict[str, list[float]]] = {}
-    for n in ev_counts:
-        for rep in range(reps):
-            seed = seed0 + rep
-            params = desk_params(n_evs=n)
-            instance = generate(params, seed)
-            for mechanism in MECHANISMS:
-                _, off = _offline(instance, mechanism, incr, solve)
-                online = run_online(
-                    instance, _clearing_schedule(params, clearings),
-                    mechanism=mechanism, solver=solve, incr=incr, carryover=True,
-                )
-                for mode, outcome in (("offline", off), ("online", online.outcome)):
-                    serviced = len(outcome.charged)
-                    frac = serviced / n if n else 0.0
-                    mean_u = (
-                        statistics.fmean(outcome.utilities.values())
-                        if outcome.utilities else 0.0
-                    )
-                    per_rep.append([n, mode, mechanism, seed, serviced,
-                                    f"{frac:.4f}", f"{mean_u:.2f}"])
-                    bucket = agg.setdefault((n, mode, mechanism),
-                                            {"serviced": [], "frac": [], "util": []})
-                    bucket["serviced"].append(serviced)
-                    bucket["frac"].append(frac)
-                    bucket["util"].append(mean_u)
-    runs_path = os.path.join(out_dir, "exp2_serviced_runs.csv")
-    _write_csv(runs_path, ["n_evs", "mode", "mechanism", "seed", "serviced",
-                           "serviced_frac", "mean_utility_cents"], per_rep)
-    agg_rows = [
-        [n, mode, mech, _fmt_cell(b["serviced"]), _fmt_cell(b["frac"]),
-         _fmt_cell(b["util"])]
-        for (n, mode, mech), b in sorted(agg.items())
+    for n, seed, params, instance in _desk_markets("n_evs", EXP2_EV_COUNTS, reps, seed0):
+        for mechanism in MECHANISMS:
+            _, off = _offline(instance, mechanism, solve)
+            online = _online(instance, params, mechanism, solve, carryover=True)
+            for mode, outcome in (("offline", off), ("online", online.outcome)):
+                serviced = len(outcome.charged)
+                frac = serviced / n if n else 0.0
+                mean_u = _mean(outcome.utilities.values())
+                per_rep.append([n, mode, mechanism, seed, serviced,
+                                f"{frac:.4f}", f"{mean_u:.2f}"])
+                _append(agg, (n, mode, mechanism), serviced=serviced, frac=frac, util=mean_u)
+    columns = ["serviced", "serviced_frac", "mean_utility_cents"]
+    return [
+        _write_csv(out_dir, "exp2_serviced_runs.csv",
+                   ["n_evs", "mode", "mechanism", "seed", *columns], per_rep),
+        _write_csv(out_dir, "exp2_serviced_summary.csv",
+                   ["n_evs", "mode", "mechanism", *columns], _summary(agg)),
     ]
-    agg_path = os.path.join(out_dir, "exp2_serviced_summary.csv")
-    _write_csv(agg_path, ["n_evs", "mode", "mechanism", "serviced",
-                          "serviced_frac", "mean_utility_cents"], agg_rows)
-    return [runs_path, agg_path]
 
 
 # ---------------------------------------------------------------- EXP 3
@@ -203,49 +206,32 @@ def run_exp3(
     out_dir: str,
     reps: int = 20,
     seed0: int = 0,
-    station_counts: tuple[int, ...] = (2, 4, 6, 8),
     time_limit: float = DEFAULT_TIME_LIMIT,
-    incr: float = DEFAULT_INCR,
 ) -> list[str]:
     """Mean payment per charged agent and mechanism profit (budget), with a
     station-count sweep tracking where VCG revenue falls off."""
     solve = partial(solve_exact, time_limit=time_limit)
     per_rep = []
     agg: dict[tuple, dict[str, list[float]]] = {}
-    for n_st in station_counts:
-        for rep in range(reps):
-            seed = seed0 + rep
-            instance = generate(desk_params(n_stations=n_st), seed)
-            for mechanism in MECHANISMS:
-                _, outcome = _offline(instance, mechanism, incr, solve)
-                charged = outcome.charged
-                mean_pay = (
-                    statistics.fmean(outcome.payments[a] for a in charged)
-                    if charged else 0.0
-                )
-                revenue = sum(outcome.payments.values())
-                per_rep.append([n_st, mechanism, seed, len(charged),
-                                f"{mean_pay:.2f}", revenue, outcome.budget])
-                bucket = agg.setdefault((n_st, mechanism),
-                                        {"pay": [], "rev": [], "budget": []})
-                bucket["pay"].append(mean_pay)
-                bucket["rev"].append(float(revenue))
-                bucket["budget"].append(float(outcome.budget))
-    runs_path = os.path.join(out_dir, "exp3_payments_runs.csv")
-    _write_csv(runs_path, ["n_stations", "mechanism", "seed", "charged",
-                           "mean_payment_cents", "revenue_cents",
-                           "budget_cents"], per_rep)
-    agg_rows = []
-    for (n_st, mech), b in sorted(agg.items()):
-        mean_budget = statistics.fmean(b["budget"])
-        agg_rows.append([n_st, mech, _fmt_cell(b["pay"]), _fmt_cell(b["rev"]),
-                         _fmt_cell(b["budget"]),
-                         int(mean_budget < 0)])
-    agg_path = os.path.join(out_dir, "exp3_payments_summary.csv")
-    _write_csv(agg_path, ["n_stations", "mechanism", "mean_payment_cents",
-                          "revenue_cents", "budget_cents",
-                          "budget_negative"], agg_rows)
-    return [runs_path, agg_path]
+    for n_st, seed, _, instance in _desk_markets("n_stations", EXP3_STATION_COUNTS, reps, seed0):
+        for mechanism in MECHANISMS:
+            _, outcome = _offline(instance, mechanism, solve)
+            mean_pay = _mean([outcome.payments[a] for a in outcome.charged])
+            revenue = sum(outcome.payments.values())
+            per_rep.append([n_st, mechanism, seed, len(outcome.charged),
+                            f"{mean_pay:.2f}", revenue, outcome.budget])
+            _append(agg, (n_st, mechanism), pay=mean_pay, rev=float(revenue),
+                    budget=float(outcome.budget))
+    agg_rows = _summary(agg)
+    for row in agg_rows:
+        row.append(int(statistics.fmean(agg[row[0], row[1]]["budget"]) < 0))
+    columns = ["mean_payment_cents", "revenue_cents", "budget_cents"]
+    return [
+        _write_csv(out_dir, "exp3_payments_runs.csv",
+                   ["n_stations", "mechanism", "seed", "charged", *columns], per_rep),
+        _write_csv(out_dir, "exp3_payments_summary.csv",
+                   ["n_stations", "mechanism", *columns, "budget_negative"], agg_rows),
+    ]
 
 
 # ---------------------------------------------------------------- EXP 4
@@ -265,10 +251,7 @@ def run_exp4(
     out_dir: str,
     reps: int = 20,
     seed0: int = 0,
-    liar_fraction: float = 0.10,
-    multiplier: float = 1.80,
     time_limit: float = DEFAULT_TIME_LIMIT,
-    incr: float = DEFAULT_INCR,
 ) -> list[str]:
     """Liars (inflated valuation reports) vs the truthful baseline.
 
@@ -280,25 +263,21 @@ def run_exp4(
     """
     solve = partial(solve_exact, time_limit=time_limit)
     per_rep = []
-    deltas: dict[str, dict[str, list[float]]] = {
-        m: {"truthful": [], "lying": [], "charged_t": [], "charged_l": []}
-        for m in MECHANISMS
-    }
-    for rep in range(reps):
-        seed = seed0 + rep
+    deltas: dict[str, dict[str, list[float]]] = {}
+    for seed in range(seed0, seed0 + reps):
         truth_inst = generate(DESK_CONTESTED, seed)
         lying_inst, truth_map = perturb_reports(
-            truth_inst, liar_fraction=liar_fraction,
-            valuation_multiplier=multiplier, seed=seed,
+            truth_inst, liar_fraction=EXP4_LIAR_FRACTION,
+            valuation_multiplier=EXP4_MULTIPLIER, seed=seed,
         )
         liars = sorted(truth_map)
         truth_model, lying_model = build_model(truth_inst), build_model(lying_inst)
         truth_result = solve(truth_model)
         lying_result = solve(lying_model)
         for mechanism in MECHANISMS:
-            out_t = price(mechanism, truth_model, truth_result, incr,
+            out_t = price(mechanism, truth_model, truth_result, DEFAULT_INCR,
                           solver=solve, agent_ids=liars)
-            out_l = price(mechanism, lying_model, lying_result, incr,
+            out_l = price(mechanism, lying_model, lying_result, DEFAULT_INCR,
                           solver=solve, agent_ids=liars)
             u_truth = [
                 float(out_t.utilities[a]) for a in liars
@@ -310,24 +289,19 @@ def run_exp4(
                 ))
                 for a in liars
             ]
-            mt = statistics.fmean(u_truth) if u_truth else 0.0
-            ml = statistics.fmean(u_lying) if u_lying else 0.0
+            mt, ml = _mean(u_truth), _mean(u_lying)
             ct = sum(1 for a in liars if a in out_t.charged)
             cl = sum(1 for a in liars if a in out_l.charged)
             per_rep.append([mechanism, seed, len(liars), f"{mt:.2f}",
                             f"{ml:.2f}", f"{ml - mt:.2f}", ct, cl,
                             truth_result.status, lying_result.status])
-            d = deltas[mechanism]
-            d["truthful"].append(mt)
-            d["lying"].append(ml)
-            d["charged_t"].append(float(ct))
-            d["charged_l"].append(float(cl))
-    runs_path = os.path.join(out_dir, "exp4_liars_runs.csv")
-    _write_csv(runs_path, ["mechanism", "seed", "n_liars",
-                           "liar_mean_utility_truthful",
-                           "liar_mean_utility_lying", "delta",
-                           "liars_charged_truthful", "liars_charged_lying",
-                           "status_truthful", "status_lying"], per_rep)
+            _append(deltas, mechanism, truthful=mt, lying=ml,
+                    charged_t=float(ct), charged_l=float(cl))
+    utility = ["liar_mean_utility_truthful", "liar_mean_utility_lying", "delta"]
+    charged = ["liars_charged_truthful", "liars_charged_lying"]
+    runs_path = _write_csv(out_dir, "exp4_liars_runs.csv",
+                           ["mechanism", "seed", "n_liars", *utility, *charged,
+                            "status_truthful", "status_lying"], per_rep)
     # imported here, not at module level, so that no other command loads scipy.stats
     from scipy import stats
 
@@ -342,13 +316,9 @@ def run_exp4(
         agg_rows.append([mech, _fmt_cell(d["truthful"]), _fmt_cell(d["lying"]),
                          _fmt_cell(diff), f"{pct:.2f}", f"{pvalue:.6f}",
                          _fmt_cell(d["charged_t"]), _fmt_cell(d["charged_l"])])
-    agg_path = os.path.join(out_dir, "exp4_liars_summary.csv")
-    _write_csv(agg_path, ["mechanism", "liar_mean_utility_truthful",
-                          "liar_mean_utility_lying", "delta",
-                          "delta_pct_of_truthful", "p_value",
-                          "liars_charged_truthful", "liars_charged_lying"],
-               agg_rows)
-    return [runs_path, agg_path]
+    return [runs_path, _write_csv(out_dir, "exp4_liars_summary.csv",
+                                  ["mechanism", *utility, "delta_pct_of_truthful", "p_value",
+                                   *charged], agg_rows)]
 
 
 RUNNERS = {1: run_exp1, 2: run_exp2, 3: run_exp3, 4: run_exp4}

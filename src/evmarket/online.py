@@ -14,7 +14,7 @@ from typing import Optional
 
 from .allocator import STATUS_OPTIMAL, STATUS_TIME_LIMITED, build_model, evaluate_objective, solve_exact
 from .model import Allocation, Instance, PricingOutcome
-from .pricing import MECHANISMS, Solver, price
+from .pricing import DEFAULT_INCR, MECHANISMS, Solver, price
 from .transport import remaining_request
 
 
@@ -62,7 +62,7 @@ def run_online(
     clearing_schedule: ClearingSchedule,
     mechanism: str = "vcg",
     solver: Solver = solve_exact,
-    incr: float = 0.025,
+    incr: float = DEFAULT_INCR,
     carryover: bool = False,
 ) -> OnlineResult:
     """Algorithm: for each clearing point, gather the agents that reported

@@ -21,6 +21,7 @@ from .model import Allocation, Instance, Money, PricingOutcome
 Solver = Callable[..., SolveResult]
 
 MECHANISMS = ("coop", "vcg")
+DEFAULT_INCR = 0.025  # Coop markup, a fraction of the electricity cost
 
 
 class CounterfactualNotOptimal(Exception):

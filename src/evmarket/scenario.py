@@ -45,6 +45,18 @@ class GenParams:
     max_demand: Optional[int] = None  # cap on energy demand (default: parking length)
     resample_limit: int = 1000
 
+    def __post_init__(self) -> None:
+        # each refusal reads "<field> <rule>", so a front end can name its own flag
+        for field, low in (("n_evs", 0), ("n_stations", 1), ("horizon", 1), ("slots", 0),
+                           ("rate", 1), ("elec_cost", 0), ("imbalance_unit_cost", 0)):
+            value = getattr(self, field)
+            if value < low:
+                raise ValueError(f"{field} must be >= {low}, got {value}")
+        for field in ("max_park", "max_demand"):  # None: no cap
+            value = getattr(self, field)
+            if value is not None and value < 1:
+                raise ValueError(f"{field} must be >= 1 when set, got {value}")
+
 
 def _ring_network(params: GenParams) -> RoadNetwork:
     """Stations on a ring, one plain junction between each adjacent pair."""

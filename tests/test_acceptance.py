@@ -28,7 +28,7 @@ from evmarket import (
     validate_allocation,
 )
 from evmarket.cli import main as cli_main
-from evmarket.experiments import desk_params, run_exp1, run_exp2, run_exp4
+from evmarket.experiments import DESK, run_exp1, run_exp2, run_exp4
 
 from conftest import bf_solver, flat_instance, make_ev, make_station, random_flat_instance
 
@@ -368,7 +368,7 @@ def test_09_determinism(tmp_path):
 
 
 def test_10_scalability(tmp_path):
-    inst = generate(desk_params(n_evs=20), seed=0)
+    inst = generate(dataclasses.replace(DESK, n_evs=20), seed=0)
     t0 = time.time()
     result = solve_exact(build_model(inst))
     price_vcg(inst, result.allocation)

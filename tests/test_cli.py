@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import subprocess
 import sys
@@ -8,8 +9,9 @@ import pytest
 import evmarket.allocator
 import evmarket.cli
 import evmarket.experiments
+import evmarket.online
 from evmarket import ClearingSchedule, generate, run_online
-from evmarket.allocator import STATUS_TIME_LIMITED
+from evmarket.allocator import STATUS_TIME_LIMITED, Infeasible, InfeasiblePin
 from evmarket.cli import main
 from evmarket.experiments import DESK
 from evmarket.serialize import dump_instance
@@ -179,6 +181,18 @@ def test_time_limit_reaches_every_solve(tmp_path, tiny1_file, monkeypatch):
     ("online", ["--incr", "inf"]),
     ("online", ["--clearing-points", "0", "2"]),
     ("online", ["--clearing-points", "2", "5"]),
+    # each GenParams rule, through gen and calibrate-incr
+    ("gen", ["--horizon", "0"]),
+    ("gen", ["--slots", "-1"]),
+    ("gen", ["--elec-cost", "-5"]),
+    ("gen", ["--imbalance-cost", "-1"]),
+    ("gen", ["--max-park", "0"]),
+    ("gen", ["--max-demand", "0"]),
+    ("gen", ["--n-evs", "-3"]),
+    ("gen", ["--n-stations", "0"]),
+    ("calibrate-incr", ["--horizon", "0"]),
+    ("calibrate-incr", ["--max-demand", "0"]),
+    ("calibrate-incr", ["--n-stations", "0"]),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
 def test_flag_no_run_can_honour_exits_1(tmp_path, tiny1_file, capsys, command, flags):
     # a negative limit is refused by HiGHS and NaN is taken as one; neither
@@ -190,6 +204,37 @@ def test_flag_no_run_can_honour_exits_1(tmp_path, tiny1_file, capsys, command, f
     flag = next(f for f in flags if f.startswith("--"))
     assert capsys.readouterr().err.startswith(f"error: {flag}")
     assert not (tmp_path / "out").exists()
+
+
+def _raising(error):
+    def fail(*args, **kwargs):
+        raise error
+    return fail
+
+
+@pytest.mark.parametrize("command, module, name, replacement, code, err", [
+    ("solve", evmarket.cli, "solve_exact", _raising(Infeasible("no point")), 1,
+     "error: infeasible: no point\n"),
+    ("solve", evmarket.cli, "build_model", _raising(InfeasiblePin("min-charge: a1")), 1,
+     "error: infeasible: min-charge: a1\n"),
+    ("online", evmarket.cli, "solve_exact", _raising(Infeasible("no point")), 1,
+     "error: infeasible: no point\n"),
+    ("online", evmarket.online, "build_model", _raising(InfeasiblePin("min-charge: a1")), 1,
+     "error: infeasible: min-charge: a1\n"),
+    ("online", evmarket.cli, "solve_exact", unproven_full_market_solver(2), 2,
+     "error: allocation solve ended with status feasible_time_limited; "
+     "VCG needs a proven optimum\n"),
+], ids=["solve-infeasible", "solve-pin", "online-infeasible", "online-pin", "online-unproven"])
+def test_library_error_exit_code(tmp_path, tiny1_file, capsys, monkeypatch,
+                                 command, module, name, replacement, code, err):
+    monkeypatch.setattr(module, name, replacement)
+    out = tmp_path / "out"
+    args = [command, tiny1_file, "--mechanism", "vcg", "--out", str(out)]
+    if command == "online":
+        args += ["--clearing-points", "1"]
+    assert main(args) == code
+    assert capsys.readouterr().err == err
+    assert not out.exists()
 
 
 def test_each_market_model_is_built_once(tmp_path, tiny1_file, built_models):
@@ -249,6 +294,12 @@ def test_exp_command_writes_reports(tmp_path):
     runs = (out / "exp4_liars_runs.csv").read_text().splitlines()
     assert runs[0].startswith("# schema=")
     assert len(runs) == 2 + 2 * 2  # header rows + reps x mechanisms
+
+
+def test_every_study_takes_only_the_run_settings():
+    # a study's design is fixed in experiments' constants, not in parameters
+    for runner in evmarket.experiments.RUNNERS.values():
+        assert list(inspect.signature(runner).parameters) == ["out_dir", "reps", "seed0", "time_limit"]
 
 
 def test_exp_exits_2_on_unproven_vcg_solve(tmp_path, monkeypatch, capsys):

@@ -4,7 +4,7 @@ import pytest
 
 from evmarket import ClearingSchedule, build_model, run_online, solve_exact
 from evmarket.allocator import validate_allocation
-from evmarket.experiments import _clearing_schedule, desk_params
+from evmarket.experiments import DESK, _clearing_schedule
 from evmarket.pricing import CounterfactualNotOptimal
 
 from conftest import (
@@ -34,7 +34,7 @@ def test_evenly_gives_count_distinct_points_after_0():
             with pytest.raises(ValueError):
                 ClearingSchedule.evenly(horizon, count)
     # every study clears at the same five points
-    assert _clearing_schedule(desk_params(n_evs=10), 5).points == (3, 6, 9, 12, 15)
+    assert _clearing_schedule(dataclasses.replace(DESK, n_evs=10)).points == (3, 6, 9, 12, 15)
 
 
 def test_unknown_mechanism(tiny2):

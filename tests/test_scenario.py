@@ -53,6 +53,16 @@ def test_caps():
     assert all(e.park_duration <= 4 for e in inst.evs)
 
 
+@pytest.mark.parametrize("field, low", [
+    ("n_evs", 0), ("n_stations", 1), ("horizon", 1), ("slots", 0), ("rate", 1),
+    ("elec_cost", 0), ("imbalance_unit_cost", 0), ("max_park", 1), ("max_demand", 1),
+])
+def test_params_no_market_can_honour_name_their_field(field, low):
+    GenParams(**{field: low})
+    with pytest.raises(ValueError, match=rf"^{field} must be >= {low}"):
+        GenParams(**{field: low - 1})
+
+
 def test_flat_mode_has_no_network():
     inst = generate(GenParams(n_evs=4, n_stations=2, horizon=8, flat=True), seed=0)
     assert inst.network is None
