@@ -104,7 +104,6 @@ class IpModel:
 @dataclass(frozen=True)
 class Violation:
     code: str
-    subject: tuple
     detail: str
 
 
@@ -446,13 +445,10 @@ def validate_allocation(instance: Instance, allocation: Allocation) -> list[Viol
             slots.setdefault(aid, []).append(t)
         else:
             violations.append(
-                Violation("unassigned-charging", (aid, sid, t), f"{aid} charges at {sid} unassigned")
-            )
+                Violation("unassigned-charging", f"{aid} charges at {sid} unassigned"))
     for aid, used in stations_used.items():
         if len(used) > 1:
-            violations.append(
-                Violation("single-station", (aid,), f"{aid} charges at {sorted(used)}")
-            )
+            violations.append(Violation("single-station", f"{aid} charges at {sorted(used)}"))
 
     for aid, sid in allocation.assigned.items():
         if sid is None:
@@ -460,12 +456,10 @@ def validate_allocation(instance: Instance, allocation: Allocation) -> list[Viol
         try:
             req = instance.request(aid)
         except KeyError:
-            violations.append(Violation("unknown-agent", (aid,), f"{aid} not in instance"))
+            violations.append(Violation("unknown-agent", f"{aid} not in instance"))
             continue
         if sid not in req.feasible_stations:
-            violations.append(
-                Violation("infeasible-station", (aid, sid), f"{sid} not feasible for {aid}")
-            )
+            violations.append(Violation("infeasible-station", f"{sid} not feasible for {aid}"))
             continue
         acc = req.access(sid)
         st = instance.station(sid)
@@ -473,32 +467,20 @@ def validate_allocation(instance: Instance, allocation: Allocation) -> list[Viol
         for t in times:
             if not (acc.arrival <= t < acc.departure) or not (0 <= t < horizon):
                 violations.append(
-                    Violation("outside-window", (aid, sid, t), f"slot {t} outside {aid}'s window at {sid}")
-                )
+                    Violation("outside-window", f"slot {t} outside {aid}'s window at {sid}"))
         if len(times) < acc.charge_slots_needed:
-            violations.append(
-                Violation(
-                    "min-charge",
-                    (aid, sid),
-                    f"{aid} gets {len(times)} slots, needs {acc.charge_slots_needed}",
-                )
-            )
+            violations.append(Violation(
+                "min-charge", f"{aid} gets {len(times)} slots, needs {acc.charge_slots_needed}"))
         if len(times) * st.rate + acc.battery_on_arrival > req.ev.battery_capacity:
-            violations.append(
-                Violation("battery-capacity", (aid, sid), f"{aid} overfills its battery")
-            )
+            violations.append(Violation("battery-capacity", f"{aid} overfills its battery"))
 
     named = {sid for sid in allocation.assigned.values() if sid is not None}
     named |= {sid for _, sid, _ in allocation.schedule}
     for sid in sorted(named - station_ids):
-        violations.append(Violation("unknown-station", (sid,), f"{sid} not in instance"))
+        violations.append(Violation("unknown-station", f"{sid} not in instance"))
     for (sid, t), load in loads.items():
         if sid in station_ids and load > instance.station(sid).slots:
-            violations.append(
-                Violation(
-                    "station-capacity",
-                    (sid, t),
-                    f"{load} EVs at ({sid},{t}) with {instance.station(sid).slots} chargers",
-                )
-            )
+            violations.append(Violation(
+                "station-capacity",
+                f"{load} EVs at ({sid},{t}) with {instance.station(sid).slots} chargers"))
     return violations

@@ -7,11 +7,14 @@ into separate files with "timing" in their name.
 
 Exit codes: 0 = every solve proven optimal; 2 = a time-limited incumbent
 (solve, online), or CounterfactualNotOptimal: VCG refused an unproven
-allocation or counterfactual (solve then writes no pricing, exp no report).
-Every other error maps to its stderr line and code in the ERRORS table read
-by main(): FormatError ("error: cannot parse instance: ..."), Infeasible and
-InfeasiblePin ("error: infeasible: ..."), NoBreakeven, ResampleLimit and
-UsageError, a flag value no run can honour ("error: --flag ..."), exit 1.
+allocation or counterfactual (solve then writes no pricing, exp no report),
+or calibrate-incr an unproven allocation.  Every other error maps to its
+stderr line and code in the ERRORS table read by main(): FormatError
+("error: cannot parse instance: ..."), Infeasible and InfeasiblePin
+("error: infeasible: ..."), NoBreakeven, ResampleLimit and UsageError, a flag
+value no run can honour ("error: --flag ..."), exit 1.  A usage error that
+argparse catches (an unknown flag, a flag the subcommand does not take, or
+--clearings with --clearing-points) exits 2 with argparse's message.
 """
 
 from __future__ import annotations
@@ -228,18 +231,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="EV-to-charging-station market: exact allocation, pricing, "
                     "online clearing, and experiment reports.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--time-limit", type=float, default=DEFAULT_TIME_LIMIT,
-                        help="per-solve time limit in seconds")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0)
+    time_limit = argparse.ArgumentParser(add_help=False)
+    time_limit.add_argument("--time-limit", type=float, default=DEFAULT_TIME_LIMIT,
+                            help="per-solve time limit in seconds")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", parents=[common], help="generate a random instance file")
+    p = sub.add_parser("gen", parents=[seed], help="generate a random instance file")
     _add_gen_flags(p)
     p.add_argument("--out", default="instance.json")
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("solve", parents=[common], help="solve and price one instance offline")
+    p = sub.add_parser("solve", parents=[time_limit],
+                       help="solve and price one instance offline")
     p.add_argument("instance")
     p.add_argument("--mechanism", choices=MECHANISMS, default="vcg")
     p.add_argument("--incr", type=float, default=DEFAULT_INCR,
@@ -247,20 +252,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("online", parents=[common], help="run periodic market clearing")
+    p = sub.add_parser("online", parents=[time_limit], help="run periodic market clearing")
     p.add_argument("instance")
     p.add_argument("--mechanism", choices=MECHANISMS, default="vcg")
     p.add_argument("--incr", type=float, default=DEFAULT_INCR)
-    p.add_argument("--clearings", type=int, default=5,
-                   help="number of evenly spaced clearing points")
-    p.add_argument("--clearing-points", type=int, nargs="+", default=None,
-                   help="explicit clearing times (overrides --clearings)")
+    points = p.add_mutually_exclusive_group()
+    points.add_argument("--clearings", type=int, default=5,
+                        help="number of evenly spaced clearing points")
+    points.add_argument("--clearing-points", type=int, nargs="+", default=None,
+                        help="explicit clearing times")
     p.add_argument("--carryover", action="store_true",
                    help="unassigned agents stay eligible at later clearings")
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_online)
 
-    p = sub.add_parser("calibrate-incr", parents=[common],
+    p = sub.add_parser("calibrate-incr", parents=[seed, time_limit],
                        help="smallest coop markup with positive budget, "
                             "averaged over a scenario family")
     _add_gen_flags(p)
@@ -269,7 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_calibrate)
 
-    p = sub.add_parser("exp", parents=[common], help="run one of the four experiment studies")
+    p = sub.add_parser("exp", parents=[seed, time_limit],
+                       help="run one of the four experiment studies")
     p.add_argument("number", type=int, choices=(1, 2, 3, 4))
     p.add_argument("--reps", type=int, default=20)
     p.add_argument("--out", default="exp_out")

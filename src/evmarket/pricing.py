@@ -26,8 +26,9 @@ DEFAULT_INCR = 0.025  # Coop markup, a fraction of the electricity cost
 
 class CounterfactualNotOptimal(Exception):
     """A welfare value VCG needs, that of the priced allocation or of a
-    counterfactual without one winner, was not proven optimal; the resulting
-    payments would be unsound and are not reported."""
+    counterfactual without one winner, or an allocation calibrate_incr
+    prices, was not proven optimal; the resulting payments or markup would be
+    unsound and are not reported."""
 
 
 class NoBreakeven(Exception):
@@ -171,13 +172,20 @@ def calibrate_incr(
     Fees only rise with the markup, so the charged set only shrinks, each
     agent leaving it where its fee first exceeds its valuation.  Between two
     such crossings the budget therefore does not fall, and each of these
-    segments is binary-searched instead of walked."""
+    segments is binary-searched instead of walked.  A scenario whose
+    allocation solve is not proven optimal raises CounterfactualNotOptimal."""
     if step <= 0:
         raise ValueError("step must be > 0")
     grid = range(1, 1001, max(1, round(step * 1000)))  # markups in thousandths
     stops = []
-    for instance in scenario_family:
-        allocation = solver(build_model(instance)).allocation
+    for index, instance in enumerate(scenario_family):
+        result = solver(build_model(instance))
+        if result.status != STATUS_OPTIMAL:
+            raise CounterfactualNotOptimal(
+                f"allocation solve of scenario {index} ended with status {result.status}; "
+                "calibration needs a proven optimum"
+            )
+        allocation = result.allocation
 
         def positive(k: int) -> bool:
             return price_coop(instance, allocation, grid[k] / 1000).budget > 0

@@ -24,18 +24,19 @@ class ResampleLimit(Exception):
     overrides are inconsistent with the feasibility guarantee."""
 
 
+RATE = 1  # energy units per time point, at every station
+DEMAND_LOW, DEMAND_HIGH = 1, 3  # expected demand uniform integer on [low, high]
+RESAMPLE_LIMIT = 1000  # redraws of one EV before generate gives up
+
+
 @dataclass(frozen=True)
 class GenParams:
     n_evs: int = 30
     n_stations: int = 8
     horizon: int = 50
-    minutes_per_point: int = 15
     slots: int = 2
-    rate: int = 1  # energy units per time point
     elec_cost: Money = 100  # cents per unit
     imbalance_unit_cost: Money = 50  # cents per unit of demand deviation
-    dem_low: int = 1
-    dem_high: int = 3  # expected demand uniform integer on [dem_low, dem_high]
     value_per_unit_max: Money = 100  # per-unit valuation uniform on [0, this]
     arrival_frac: float = 0.6  # start times uniform on [0, arrival_frac*horizon]
     per_drive_point: Money = 5
@@ -43,15 +44,17 @@ class GenParams:
     flat: bool = False  # skip the road network entirely
     max_park: Optional[int] = None  # cap on parking duration (default: until horizon)
     max_demand: Optional[int] = None  # cap on energy demand (default: parking length)
-    resample_limit: int = 1000
 
     def __post_init__(self) -> None:
         # each refusal reads "<field> <rule>", so a front end can name its own flag
         for field, low in (("n_evs", 0), ("n_stations", 1), ("horizon", 1), ("slots", 0),
-                           ("rate", 1), ("elec_cost", 0), ("imbalance_unit_cost", 0)):
+                           ("elec_cost", 0), ("imbalance_unit_cost", 0),
+                           ("value_per_unit_max", 0), ("per_drive_point", 0), ("per_walk_km", 0)):
             value = getattr(self, field)
             if value < low:
                 raise ValueError(f"{field} must be >= {low}, got {value}")
+        if not math.isfinite(self.arrival_frac):
+            raise ValueError(f"arrival_frac must be finite, got {self.arrival_frac}")
         for field in ("max_park", "max_demand"):  # None: no cap
             value = getattr(self, field)
             if value is not None and value < 1:
@@ -78,9 +81,9 @@ def _ring_network(params: GenParams) -> RoadNetwork:
 
 def generate(params: GenParams, seed: int) -> Instance:
     """Build a reproducible random instance; every generated EV is guaranteed
-    a nonempty feasible station set (resampled up to params.resample_limit)."""
+    a nonempty feasible station set (resampled up to RESAMPLE_LIMIT times)."""
     rng = random.Random(seed)
-    grid = TimeGrid(horizon_len=params.horizon, minutes_per_point=params.minutes_per_point)
+    grid = TimeGrid(horizon_len=params.horizon)
     network = None if params.flat else _ring_network(params)
     if network is None:
         station_nodes = list(range(params.n_stations))
@@ -94,10 +97,10 @@ def generate(params: GenParams, seed: int) -> Instance:
             id=f"L{i + 1}",
             location=station_nodes[i],
             slots=params.slots,
-            rate=params.rate,
+            rate=RATE,
             elec_cost=params.elec_cost,
             expected_demand=tuple(
-                rng.randint(params.dem_low, params.dem_high) for _ in range(params.horizon)
+                rng.randint(DEMAND_LOW, DEMAND_HIGH) for _ in range(params.horizon)
             ),
         )
         for i in range(params.n_stations)
@@ -110,7 +113,7 @@ def generate(params: GenParams, seed: int) -> Instance:
     build = request_builder(network, stations, grid)
     requests: list[EvRequest] = []
     for k in range(params.n_evs):
-        for attempt in range(params.resample_limit + 1):
+        for attempt in range(RESAMPLE_LIMIT + 1):
             start_time = rng.randint(0, min(arr_high, params.horizon - 1))
             park_high = params.horizon - start_time
             if params.max_park is not None:
@@ -137,9 +140,7 @@ def generate(params: GenParams, seed: int) -> Instance:
                 requests.append(request)
                 break
         else:
-            raise ResampleLimit(
-                f"could not draw a feasible EV after {params.resample_limit} tries"
-            )
+            raise ResampleLimit(f"could not draw a feasible EV after {RESAMPLE_LIMIT} tries")
 
     return Instance(
         time_grid=grid,
@@ -151,10 +152,7 @@ def generate(params: GenParams, seed: int) -> Instance:
 
 
 def perturb_reports(
-    instance: Instance,
-    liar_fraction: float = 0.10,
-    valuation_multiplier: float = 1.80,
-    seed: int = 0,
+    instance: Instance, liar_fraction: float, valuation_multiplier: float, seed: int
 ) -> tuple[Instance, dict[str, Money]]:
     """Select floor(liar_fraction * n) agents at random and scale their
     reported base valuation.  Returns the reported instance (what the

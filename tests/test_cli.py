@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import inspect
 import json
@@ -206,6 +207,51 @@ def test_flag_no_run_can_honour_exits_1(tmp_path, tiny1_file, capsys, command, f
     assert not (tmp_path / "out").exists()
 
 
+# each subcommand's options: a flag that no run of the command reads is not offered
+OPTIONS = {
+    "gen": {"--seed", *evmarket.cli.GEN_FLAGS, "--flat", "--out"},
+    "solve": {"--time-limit", "--mechanism", "--incr", "--out"},
+    "online": {"--time-limit", "--mechanism", "--incr", "--clearings", "--clearing-points",
+               "--carryover", "--out"},
+    "calibrate-incr": {"--seed", "--time-limit", *evmarket.cli.GEN_FLAGS, "--flat",
+                       "--n-instances", "--step", "--out"},
+    "exp": {"--seed", "--time-limit", "--reps", "--out"},
+}
+
+
+def test_each_subcommand_offers_only_the_options_it_reads():
+    parser = evmarket.cli.build_parser()
+    (commands,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    offered = {name: {flag for action in p._actions for flag in action.option_strings}
+               for name, p in commands.items()}
+    offered = {name: flags - {"-h", "--help"} for name, flags in offered.items()}
+    assert offered == OPTIONS
+    assert sum(map(len, offered.values())) == 40
+
+
+UNRECOGNIZED = "evmarket: error: unrecognized arguments: "
+
+
+@pytest.mark.parametrize("command, flags, err", [
+    ("solve", ["--seed", "1"], UNRECOGNIZED + "--seed 1"),
+    ("online", ["--seed", "1"], UNRECOGNIZED + "--seed 1"),
+    ("gen", ["--time-limit", "5"], UNRECOGNIZED + "--time-limit 5"),
+    ("online", ["--clearings", "3", "--clearing-points", "4", "8"],
+     "evmarket online: error: argument --clearing-points: not allowed with argument --clearings"),
+], ids=["solve --seed", "online --seed", "gen --time-limit", "online both clearing flags"])
+def test_flag_the_command_does_not_take_exits_2(tmp_path, tiny1_file, capsys, command, flags, err):
+    # a flag that no run of the command reads would be silently ignored, as
+    # would --clearings next to --clearing-points
+    args = [command, *([tiny1_file] if command in ("solve", "online") else []), *flags,
+            "--out", str(tmp_path / "out")]
+    with pytest.raises(SystemExit) as exit_:
+        main(args)
+    assert exit_.value.code == 2
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("usage: evmarket") and stderr.endswith(err + "\n")
+    assert not (tmp_path / "out").exists()
+
+
 def _raising(error):
     def fail(*args, **kwargs):
         raise error
@@ -246,6 +292,21 @@ def test_each_market_model_is_built_once(tmp_path, tiny1_file, built_models):
     online = run_online(generate(DESK, 7), ClearingSchedule((3, 6, 9, 12, 15, 23)), carryover=True)
     cleared = [c for c in online.clearings if c.status != "no-op"]
     assert len(built_models) == 11 + len(cleared) and len(cleared) == len(online.clearings) - 1
+    before = len(built_models)
+    evmarket.experiments.run_exp3(str(tmp_path), reps=1)
+    assert len(built_models) == before + 4  # one per market, priced by both mechanisms
+
+
+def test_calibrate_incr_exits_2_on_unproven_solve(capsys):
+    # at a zero limit the allocation is the pins-only one, which assigns
+    # nobody, so the budget can never turn positive: refused, not calibrated
+    assert main(["calibrate-incr", "--n-instances", "3", "--seed", "1", "--n-evs", "10",
+                 "--n-stations", "2", "--horizon", "12", "--elec-cost", "20",
+                 "--imbalance-cost", "1", "--time-limit", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: allocation solve of scenario 0 ended with status "
+                            "feasible_time_limited; calibration needs a proven optimum\n")
 
 
 def test_calibrate_incr_command(tmp_path, capsys):

@@ -10,7 +10,7 @@ from evmarket.pricing import CounterfactualNotOptimal, NoBreakeven, _coop_price
 
 from conftest import (
     bf_solver, drop_agent, flat_instance, make_ev, make_station, milp_allocation,
-    random_flat_instance,
+    random_flat_instance, unproven_full_market_solver,
 )
 
 
@@ -148,6 +148,16 @@ def test_calibrate_incr_no_breakeven():
     )
     with pytest.raises(NoBreakeven):
         calibrate_incr([inst], solver=bf_solver)
+
+
+def test_calibrate_incr_refuses_unproven_solve(tiny1):
+    # the markup of a market whose allocation is not proven optimal would be
+    # calibrated on whatever the solver had when it stopped
+    one_agent = drop_agent(tiny1, "a2")
+    with pytest.raises(CounterfactualNotOptimal,
+                       match="^allocation solve of scenario 1 ended with status "
+                             "feasible_time_limited"):
+        calibrate_incr([one_agent, tiny1], solver=unproven_full_market_solver(2))
 
 
 def test_calibrate_incr_rejects_bad_step(tiny1):

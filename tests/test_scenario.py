@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -54,13 +55,30 @@ def test_caps():
 
 
 @pytest.mark.parametrize("field, low", [
-    ("n_evs", 0), ("n_stations", 1), ("horizon", 1), ("slots", 0), ("rate", 1),
+    ("n_evs", 0), ("n_stations", 1), ("horizon", 1), ("slots", 0),
     ("elec_cost", 0), ("imbalance_unit_cost", 0), ("max_park", 1), ("max_demand", 1),
+    ("value_per_unit_max", 0), ("per_drive_point", 0), ("per_walk_km", 0),
 ])
 def test_params_no_market_can_honour_name_their_field(field, low):
+    # without their rules, the last three would crash late, inside generate
     GenParams(**{field: low})
     with pytest.raises(ValueError, match=rf"^{field} must be >= {low}"):
         GenParams(**{field: low - 1})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_arrival_frac_must_be_finite(value):
+    with pytest.raises(ValueError, match=r"^arrival_frac must be finite"):
+        GenParams(arrival_frac=value)
+
+
+def test_params_fields_are_the_ones_some_run_sets():
+    # what no caller varies is a module constant, not a field
+    assert [f.name for f in dataclasses.fields(GenParams)] == [
+        "n_evs", "n_stations", "horizon", "slots", "elec_cost", "imbalance_unit_cost",
+        "value_per_unit_max", "arrival_frac", "per_drive_point", "per_walk_km", "flat",
+        "max_park", "max_demand",
+    ]
 
 
 def test_flat_mode_has_no_network():
@@ -73,8 +91,7 @@ def test_flat_mode_has_no_network():
 
 def test_resample_limit():
     # zero-valuation agents can never be feasible
-    p = GenParams(n_evs=1, n_stations=2, horizon=10, value_per_unit_max=0,
-                  resample_limit=50)
+    p = GenParams(n_evs=1, n_stations=2, horizon=10, value_per_unit_max=0)
     with pytest.raises(ResampleLimit):
         generate(p, seed=0)
 
@@ -93,8 +110,8 @@ def test_perturb_reports():
 
 def test_perturb_is_deterministic():
     inst = generate(SMALL, seed=7)
-    _, t1 = perturb_reports(inst, seed=5)
-    _, t2 = perturb_reports(inst, seed=5)
+    _, t1 = perturb_reports(inst, 0.10, 1.80, seed=5)
+    _, t2 = perturb_reports(inst, 0.10, 1.80, seed=5)
     assert t1 == t2
     with pytest.raises(ValueError):
-        perturb_reports(inst, liar_fraction=1.5)
+        perturb_reports(inst, 1.5, 1.80, seed=5)
