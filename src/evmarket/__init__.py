@@ -19,7 +19,7 @@ from .model import (
     TimeGrid,
     imbalance_cost,
 )
-from .transport import RoadNetwork, TimeCostParams, build_requests
+from .transport import RoadNetwork, build_requests
 from .allocator import (
     STATUS_OPTIMAL,
     STATUS_TIME_LIMITED,
@@ -35,7 +35,6 @@ from .online import ClearingSchedule, OnlineResult, run_online
 from .scenario import GenParams, generate, perturb_reports
 
 __all__ = [
-    "MONEY_SCALE",
     "Allocation",
     "ClearingSchedule",
     "EvRequest",
@@ -43,15 +42,15 @@ __all__ = [
     "GenParams",
     "Instance",
     "IpModel",
+    "MONEY_SCALE",
     "OnlineResult",
     "PricingOutcome",
     "RoadNetwork",
+    "STATUS_OPTIMAL",
+    "STATUS_TIME_LIMITED",
     "SolveResult",
     "Station",
     "StationAccess",
-    "STATUS_OPTIMAL",
-    "STATUS_TIME_LIMITED",
-    "TimeCostParams",
     "TimeGrid",
     "build_model",
     "build_requests",

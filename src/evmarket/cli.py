@@ -36,6 +36,7 @@ from .pricing import (
     CounterfactualNotOptimal,
     NoBreakeven,
     calibrate_incr,
+    markup_grid,
     price,
 )
 from .scenario import GenParams, ResampleLimit, generate
@@ -203,8 +204,10 @@ def cmd_online(args) -> int:
 
 def cmd_calibrate(args) -> int:
     solver = functools.partial(solve_exact, time_limit=_time_limit(args))
-    if not args.step > 0:
-        raise UsageError(f"--step must be > 0, got {args.step}")
+    try:
+        markup_grid(args.step)
+    except ValueError as exc:
+        raise UsageError(f"--{exc}") from None  # worded "step <rule>"
     family = [generate(_gen_params(args), args.seed + k)
               for k in range(_at_least_one("--n-instances", args.n_instances))]
     incr = calibrate_incr(family, step=args.step, solver=solver)

@@ -72,7 +72,7 @@ class EvType:
     park_duration: int  # time points parked at the station
     energy_demand: Energy  # units the agent wants; all-or-nothing valuation
     base_valuation: Money  # value of receiving energy_demand, before time cost
-    time_cost: Money = 0  # flat-mode disutility applied to every station
+    time_cost: Money = 0  # disutility at every station, added to any travel cost
 
     def __post_init__(self) -> None:
         if not 0 <= self.battery_initial <= self.battery_capacity:
@@ -106,13 +106,18 @@ class EvRequest:
     """An EV together with its reachable stations and the feasible subset.
 
     per_station holds every station passing the reachability and window
-    checks; feasible_stations further requires a positive post-clamp
-    valuation (a rational agent never accepts negative-value service).
+    checks; feasible_stations, derived from it at construction, further
+    requires a positive post-clamp valuation (a rational agent never accepts
+    negative-value service).
     """
 
     ev: EvType
     per_station: Mapping[str, StationAccess]
-    feasible_stations: frozenset[str]
+    feasible_stations: frozenset[str] = field(init=False, compare=False)
+
+    def __post_init__(self) -> None:
+        feasible = frozenset(sid for sid, acc in self.per_station.items() if acc.valuation > 0)
+        object.__setattr__(self, "feasible_stations", feasible)
 
     def access(self, station_id: str) -> StationAccess:
         return self.per_station[station_id]

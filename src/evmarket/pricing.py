@@ -160,6 +160,16 @@ def price(mechanism: str, model: IpModel, result: SolveResult, incr: float,
     return _vcg(model, result.allocation, solver, agent_ids)
 
 
+def markup_grid(step: float) -> range:
+    """The markups calibrate_incr tries, in thousandths: 1, 1 + step, ... up to
+    1000.  step must be a whole number of thousandths >= 0.001, float noise
+    aside (0.007 * 1000 is 7.000000000000001); the ValueError reads "step <rule>"."""
+    mils = step * 1000
+    if not (math.isfinite(mils) and round(mils) >= 1 and math.isclose(mils, round(mils))):
+        raise ValueError(f"step must be a whole number of thousandths >= 0.001, got {step}")
+    return range(1, 1001, round(mils))
+
+
 def calibrate_incr(
     scenario_family: Iterable[Instance],
     step: float = 0.001,
@@ -167,16 +177,14 @@ def calibrate_incr(
 ) -> float:
     """Smallest Coop markup at which each scenario stops making losses,
     averaged over the family: the first of 0.1%, 0.1% + step, ... up to
-    100% at which price_coop's budget is positive.
+    100% at which price_coop's budget is positive (see markup_grid).
 
     Fees only rise with the markup, so the charged set only shrinks, each
     agent leaving it where its fee first exceeds its valuation.  Between two
     such crossings the budget therefore does not fall, and each of these
     segments is binary-searched instead of walked.  A scenario whose
     allocation solve is not proven optimal raises CounterfactualNotOptimal."""
-    if step <= 0:
-        raise ValueError("step must be > 0")
-    grid = range(1, 1001, max(1, round(step * 1000)))  # markups in thousandths
+    grid = markup_grid(step)
     stops = []
     for index, instance in enumerate(scenario_family):
         result = solver(build_model(instance))

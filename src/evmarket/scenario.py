@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from .model import EvRequest, EvType, Instance, Money, Station, TimeGrid
-from .transport import RoadNetwork, TimeCostParams, reprice_requests, request_builder
+from .transport import RoadNetwork, build_requests, request_builder
 
 
 class ResampleLimit(Exception):
@@ -73,9 +73,8 @@ def _ring_network(params: GenParams) -> RoadNetwork:
         edges=edges,
         charging_nodes=charging,
         avg_speed=2.0,
-        time_cost=TimeCostParams(
-            per_drive_point=params.per_drive_point, per_walk_km=params.per_walk_km
-        ),
+        per_drive_point=params.per_drive_point,
+        per_walk_km=params.per_walk_km,
     )
 
 
@@ -133,7 +132,6 @@ def generate(params: GenParams, seed: int) -> Instance:
                 park_duration=park,
                 energy_demand=demand,
                 base_valuation=per_unit * demand,
-                time_cost=0,
             )
             request = build(ev)
             if request.feasible_stations:
@@ -156,7 +154,8 @@ def perturb_reports(
 ) -> tuple[Instance, dict[str, Money]]:
     """Select floor(liar_fraction * n) agents at random and scale their
     reported base valuation.  Returns the reported instance (what the
-    mechanisms see) and a map from liar id to its true valuation."""
+    mechanisms see, its requests rebuilt from the reports) and a map from
+    liar id to its true valuation."""
     if not 0.0 <= liar_fraction <= 1.0:
         raise ValueError("liar_fraction must be in [0, 1]")
     rng = random.Random(seed)
@@ -164,10 +163,7 @@ def perturb_reports(
     n_liars = int(liar_fraction * len(ids))
     liars = sorted(rng.sample(ids, n_liars))
     truth = {aid: instance.request(aid).ev.base_valuation for aid in liars}
-    reported = {
-        aid: round(truth[aid] * valuation_multiplier) for aid in liars
-    }
-    reported_instance = replace(
-        instance, requests=tuple(reprice_requests(instance.requests, reported))
-    )
-    return reported_instance, truth
+    evs = [replace(ev, base_valuation=round(truth[ev.id] * valuation_multiplier))
+           if ev.id in truth else ev for ev in instance.evs]
+    requests = build_requests(instance.network, evs, instance.stations, instance.time_grid)
+    return replace(instance, requests=tuple(requests)), truth

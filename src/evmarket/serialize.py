@@ -17,7 +17,7 @@ import math
 from typing import TextIO
 
 from .model import MONEY_SCALE, Allocation, EvType, Instance, PricingOutcome, Station, TimeGrid
-from .transport import LocationError, NetworkError, RoadNetwork, TimeCostParams, build_requests
+from .transport import LocationError, NetworkError, RoadNetwork, build_requests
 
 FORMAT_VERSION = "1"
 
@@ -130,12 +130,10 @@ def instance_to_dict(instance: Instance) -> dict:
     net = instance.network
     if net is not None:
         doc["network"] = {
+            **_dump(net, NETWORK_KEYS),
             "nodes": sorted(net.nodes),
             "edges": [{"a": a, "b": b, "km": km} for a, b, km in net.edges],
             "charging_nodes": sorted(net.charging_nodes),
-            "avg_speed": net.avg_speed,
-            "per_drive_point": net.time_cost.per_drive_point,
-            "per_walk_km": net.time_cost.per_walk_km,
         }
     return doc
 
@@ -150,16 +148,15 @@ def instance_from_dict(doc: dict) -> Instance:
     evs = _entries(top, "evs", EV_KEYS, EvType)
     network = None
     if top["network"] is not None:
-        nd = _read(top["network"], NETWORK_KEYS, "network")
-        edges = tuple(tuple(_read(e, EDGE_KEYS, f"network.edges[{i}]").values())
-                      for i, e in enumerate(nd["edges"]))
+        fields = _read(top["network"], NETWORK_KEYS, "network")
+        fields["edges"] = tuple(tuple(_read(e, EDGE_KEYS, f"network.edges[{i}]").values())
+                                for i, e in enumerate(fields["edges"]))
+        for key in ("nodes", "charging_nodes"):
+            fields[key] = frozenset(fields[key])
         try:
-            network = RoadNetwork(
-                nodes=frozenset(nd["nodes"]), edges=edges, charging_nodes=frozenset(nd["charging_nodes"]),
-                avg_speed=nd["avg_speed"], time_cost=TimeCostParams(nd["per_drive_point"], nd["per_walk_km"]))
+            network = RoadNetwork(**fields)
         except NetworkError as exc:
-            # the document flattens RoadNetwork.time_cost into network
-            raise FormatError(f"network.{exc.field.removeprefix('time_cost.')}", exc.message) from exc
+            raise FormatError(f"network.{exc.field}", exc.message) from exc
         for i, e in enumerate(evs):
             if not e.discharge_rate >= 0:
                 raise FormatError(f"evs[{i}].discharge_rate", "must be >= 0")

@@ -11,15 +11,6 @@ from typing import Callable, Iterable, Optional, Sequence
 from .model import EvRequest, EvType, Money, Station, StationAccess, TimeGrid
 
 
-@dataclass(frozen=True)
-class TimeCostParams:
-    """Converts travel effort into money: driving per time point spent on the
-    road, walking per km from the station to the final destination."""
-
-    per_drive_point: Money = 0
-    per_walk_km: Money = 0
-
-
 class NetworkError(ValueError):
     """A RoadNetwork field breaks a rule; field names it, as in edges[1].b."""
 
@@ -46,7 +37,8 @@ class RoadNetwork:
     edges: tuple[tuple[int, int, float], ...]  # (a, b, length km), undirected
     charging_nodes: frozenset[int]
     avg_speed: float = 1.0  # km per time point
-    time_cost: TimeCostParams = TimeCostParams()
+    per_drive_point: Money = 0  # time cost per time point driven to a station
+    per_walk_km: Money = 0  # time cost per km walked on from it to the destination
 
     def __post_init__(self) -> None:
         if not self.charging_nodes <= self.nodes:
@@ -54,8 +46,8 @@ class RoadNetwork:
         if not self.avg_speed > 0:
             raise NetworkError("avg_speed", "must be > 0")
         for name in ("per_drive_point", "per_walk_km"):
-            if getattr(self.time_cost, name) < 0:
-                raise NetworkError(f"time_cost.{name}", "must be >= 0")
+            if getattr(self, name) < 0:
+                raise NetworkError(name, "must be >= 0")
         for i, (a, b, km) in enumerate(self.edges):
             for end, node in (("a", a), ("b", b)):
                 if node not in self.nodes:
@@ -87,10 +79,23 @@ def distances_km(network: RoadNetwork, sources: Iterable[int]) -> dict[int, dict
 
 
 def _access(
-    ev: EvType, station: Station, horizon: int, drive_time: int, energy: int, kappa: Money
+    ev: EvType, station: Station, horizon: int,
+    network: Optional[RoadNetwork], from_station: Optional[dict[int, float]],
 ) -> Optional[StationAccess]:
-    """Window and valuation at one station for an EV that spends drive_time
-    points and energy units reaching it and bears time cost kappa there."""
+    """Window and valuation at one station.  On a flat market (network None)
+    nothing is driven or walked.  Otherwise from_station holds the distances
+    from the station's node, which on an undirected network are both the
+    drive there from the start and the walk on to the destination."""
+    drive_time = energy = 0
+    kappa = ev.time_cost
+    if network is not None:
+        drive_km = from_station.get(ev.start_location)
+        walk_km = from_station.get(ev.end_location)
+        if drive_km is None or walk_km is None:
+            return None
+        drive_time = math.ceil(drive_km / network.avg_speed - 1e-9)  # conservative arrival
+        energy = math.ceil(drive_km * ev.discharge_rate - 1e-9)
+        kappa += network.per_drive_point * drive_time + round(network.per_walk_km * walk_km)
     if ev.battery_initial < energy:  # cannot reach the station at all
         return None
     arrival = ev.start_time + drive_time
@@ -110,28 +115,6 @@ def _access(
     )
 
 
-def _routed_access(
-    network: RoadNetwork, ev: EvType, station: Station, horizon: int, from_station: dict[int, float]
-) -> Optional[StationAccess]:
-    """Access through the road network; from_station holds the distances
-    from the station's node, which on an undirected network are both the
-    drive there from the start and the walk on to the destination."""
-    drive_km = from_station.get(ev.start_location)
-    walk_km = from_station.get(ev.end_location)
-    if drive_km is None or walk_km is None:
-        return None
-    drive_time = math.ceil(drive_km / network.avg_speed - 1e-9)  # conservative arrival
-    energy = math.ceil(drive_km * ev.discharge_rate - 1e-9)
-    params = network.time_cost
-    kappa = params.per_drive_point * drive_time + round(params.per_walk_km * walk_km)
-    return _access(ev, station, horizon, drive_time, energy, kappa)
-
-
-def _request(ev: EvType, per_station: dict[str, StationAccess]) -> EvRequest:
-    feasible = frozenset(sid for sid, acc in per_station.items() if acc.valuation > 0)
-    return EvRequest(ev=ev, per_station=per_station, feasible_stations=feasible)
-
-
 def request_builder(
     network: Optional[RoadNetwork], stations: Sequence[Station], time_grid: TimeGrid
 ) -> Callable[[EvType], EvRequest]:
@@ -142,12 +125,14 @@ def request_builder(
     it is *feasible* when additionally the post-clamp valuation is positive.
     An EV with no feasible station is kept but can never be allocated.
 
-    With network=None ("flat mode") all drive distances are zero and the time
-    cost comes from each EV's explicit time_cost field.  Otherwise Dijkstra
-    runs once per station location, and a station or EV location that is
-    not a network node raises LocationError.
+    An EV's time cost at a station is its own time_cost plus, on a routed
+    market, the network's drive and walk terms.  With network=None (a flat
+    market) nothing is driven or walked.  Otherwise Dijkstra runs once per
+    station location, and a station or EV location that is not a network
+    node raises LocationError.
     """
     horizon = time_grid.horizon_len
+    tables: dict[int, dict[int, float]] = {}
     if network is not None:
         for st in stations:
             if st.location not in network.nodes:
@@ -162,13 +147,10 @@ def request_builder(
                     raise LocationError(ev.id, name, f"EV {ev.id} has {name} {node}, not a network node")
         per_station: dict[str, StationAccess] = {}
         for st in stations:
-            if network is None:
-                access = _access(ev, st, horizon, 0, 0, ev.time_cost)
-            else:
-                access = _routed_access(network, ev, st, horizon, tables[st.location])
+            access = _access(ev, st, horizon, network, tables.get(st.location))
             if access is not None:
                 per_station[st.id] = access
-        return _request(ev, per_station)
+        return EvRequest(ev, per_station)
 
     return build
 
@@ -184,27 +166,6 @@ def build_requests(
     return [build(ev) for ev in evs]
 
 
-def reprice_requests(
-    requests: Sequence[EvRequest], new_valuations: dict[str, Money]
-) -> list[EvRequest]:
-    """Rebuild requests after some agents change their reported base
-    valuation; windows and reachability are unaffected, only valuations and
-    the feasible set move."""
-    out = []
-    for req in requests:
-        if req.ev.id not in new_valuations:
-            out.append(req)
-            continue
-        new_base = new_valuations[req.ev.id]
-        ev = dataclasses.replace(req.ev, base_valuation=new_base)
-        per_station = {
-            sid: dataclasses.replace(acc, valuation=max(0, new_base - acc.time_cost))
-            for sid, acc in req.per_station.items()
-        }
-        out.append(_request(ev, per_station))
-    return out
-
-
 def remaining_request(req: EvRequest, not_before: int) -> EvRequest:
     """The request a market clearing at not_before sees: every window cut to
     start at not_before or later, and a station dropped once the rest of its
@@ -214,4 +175,4 @@ def remaining_request(req: EvRequest, not_before: int) -> EvRequest:
         arrival = max(acc.arrival, not_before)
         if acc.departure - arrival >= acc.charge_slots_needed:
             per_station[sid] = dataclasses.replace(acc, arrival=arrival)
-    return _request(req.ev, per_station)
+    return EvRequest(req.ev, per_station)

@@ -175,6 +175,9 @@ def test_time_limit_reaches_every_solve(tmp_path, tiny1_file, monkeypatch):
     ("online", ["--clearing-points", "5", "3"]),
     ("calibrate-incr", ["--n-instances", "0"]),
     ("calibrate-incr", ["--step", "0"]),
+    ("calibrate-incr", ["--step", "0.0001"]),
+    ("calibrate-incr", ["--step", "0.0015"]),
+    ("calibrate-incr", ["--step", "inf"]),
     ("exp", ["4", "--reps", "0"]),
     ("solve", ["--incr", "-2", "--mechanism", "coop"]),
     ("solve", ["--incr", "nan", "--mechanism", "coop"]),

@@ -82,3 +82,23 @@ def test_highs_bindings_are_shared_with_scipy_optimize(first):
         "print(evmarket.allocator._core is _core, linprog([1, 2], A_ub=[[-1, -1]], b_ub=[-1]).fun)"
     )
     assert out == "True 1.0"
+
+
+# the public surface: adding or removing a name from evmarket.__all__ is a
+# deliberate change, made here too
+PUBLIC = [
+    "Allocation", "ClearingSchedule", "EvRequest", "EvType", "GenParams", "Instance", "IpModel",
+    "MONEY_SCALE", "OnlineResult", "PricingOutcome", "RoadNetwork", "STATUS_OPTIMAL",
+    "STATUS_TIME_LIMITED", "SolveResult", "Station", "StationAccess", "TimeGrid", "build_model",
+    "build_requests", "calibrate_incr", "generate", "imbalance_cost", "perturb_reports", "price",
+    "price_coop", "price_vcg", "run_online", "solve_bruteforce", "solve_exact",
+    "validate_allocation",
+]
+
+
+def test_public_names_are_pinned():
+    import evmarket
+
+    assert PUBLIC == sorted(PUBLIC)
+    assert evmarket.__all__ == PUBLIC
+    assert [name for name in PUBLIC if not hasattr(evmarket, name)] == []

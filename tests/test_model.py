@@ -1,6 +1,8 @@
+import dataclasses
+
 import pytest
 
-from evmarket import EvType, MONEY_SCALE, Station, imbalance_cost
+from evmarket import EvRequest, EvType, MONEY_SCALE, Station, StationAccess, imbalance_cost
 
 from conftest import flat_instance, make_ev, make_station
 
@@ -65,3 +67,13 @@ def test_instance_rejects_duplicate_ids(tiny1):
         dataclasses.replace(tiny1, requests=(tiny1.requests[0], tiny1.requests[0]))
     with pytest.raises(ValueError, match="duplicate station id 'L1'"):
         dataclasses.replace(tiny1, stations=(tiny1.stations[0], tiny1.stations[0]))
+
+
+def test_request_derives_its_feasible_stations():
+    # feasible_stations is derived from per_station, never passed in
+    assert [f.name for f in dataclasses.fields(EvRequest) if f.init] == ["ev", "per_station"]
+    acc = StationAccess(arrival=0, departure=2, valuation=5, time_cost=0, battery_on_arrival=0,
+                        charge_slots_needed=1)
+    req = EvRequest(make_ev("a1", demand=1, valuation=5),
+                    {"L1": acc, "L2": dataclasses.replace(acc, valuation=0)})
+    assert req.feasible_stations == frozenset({"L1"})

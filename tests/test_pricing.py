@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from evmarket import build_model, calibrate_incr, generate, price, price_coop, price_vcg, solve_exact
 from evmarket.allocator import STATUS_OPTIMAL, STATUS_TIME_LIMITED, SolveResult, _Session
 from evmarket.experiments import DESK, DESK_CONTESTED
-from evmarket.pricing import CounterfactualNotOptimal, NoBreakeven, _coop_price
+from evmarket.pricing import CounterfactualNotOptimal, NoBreakeven, _coop_price, markup_grid
 
 from conftest import (
     bf_solver, drop_agent, flat_instance, make_ev, make_station, milp_allocation,
@@ -163,6 +164,18 @@ def test_calibrate_incr_refuses_unproven_solve(tiny1):
 def test_calibrate_incr_rejects_bad_step(tiny1):
     with pytest.raises(ValueError):
         calibrate_incr([tiny1], step=0)
+
+
+@pytest.mark.parametrize("step", [-0.001, 0.0001, 0.0015, 0.0025, math.inf, math.nan])
+def test_calibrate_incr_refuses_a_step_off_the_grid(tiny1, step):
+    # a step the thousandths grid cannot take exactly is refused, not snapped
+    with pytest.raises(ValueError, match="step must be a whole number of thousandths"):
+        calibrate_incr([tiny1], step=step)
+
+
+@pytest.mark.parametrize("step, mils", [(0.001, 1), (0.002, 2), (0.007, 7), (0.025, 25), (2.0, 2000)])
+def test_markup_grid_takes_whole_thousandths(step, mils):
+    assert markup_grid(step) == range(1, 1001, mils)  # 0.007 * 1000 is 7.000000000000001
 
 
 def _walked_incr(instance, step_mil):

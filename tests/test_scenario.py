@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from evmarket import GenParams, generate, perturb_reports
+from evmarket import GenParams, build_requests, generate, perturb_reports
+from evmarket.experiments import DESK_CONTESTED
 from evmarket.scenario import ResampleLimit
 from evmarket.serialize import instance_to_dict
 
@@ -106,6 +107,18 @@ def test_perturb_reports():
     honest = set(r.ev.id for r in inst.requests) - set(truth)
     for aid in honest:
         assert reported.request(aid).ev.base_valuation == inst.request(aid).ev.base_valuation
+
+
+def test_perturb_rebuilds_requests_from_the_reports():
+    # a routed market: each liar's request is the one its report builds
+    inst = generate(DESK_CONTESTED, 0)
+    reported, truth = perturb_reports(inst, 0.25, 1.8, seed=0)
+    assert truth and inst.network is not None
+    rebuilt = build_requests(inst.network, reported.evs, inst.stations, inst.time_grid)
+    assert list(reported.requests) == rebuilt
+    for req in inst.requests:
+        if req.ev.id not in truth:
+            assert reported.request(req.ev.id) == req
 
 
 def test_perturb_is_deterministic():

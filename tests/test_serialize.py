@@ -156,9 +156,22 @@ def test_location_off_network_named(section, index, key):
     instance_from_dict(doc)
 
 
+def test_routed_document_counts_the_ev_time_cost():
+    doc = instance_to_dict(generate(DESK, 7))
+    before = instance_from_dict(doc).request("a1")
+    doc["evs"][0]["time_cost"] = 40
+    after = instance_from_dict(doc).request("a1")
+    assert after.per_station.keys() == before.per_station.keys()
+    for sid, acc in before.per_station.items():
+        assert after.access(sid).valuation == acc.valuation - 40
+        assert after.access(sid).time_cost == acc.time_cost + 40
+    doc["evs"][0]["time_cost"] = 1000000
+    assert instance_from_dict(doc).request("a1").feasible_stations == frozenset()
+
+
 @pytest.mark.parametrize("flat", [False, True], ids=["routed", "flat"])
 def test_writer_emits_exactly_the_reader_keys(flat):
-    # the network block is written by hand; every other section from its table
+    # the network's sets and edges are written by hand; every other key from its table
     doc = instance_to_dict(generate(GenParams(n_evs=4, n_stations=2, horizon=10, flat=flat), seed=3))
     assert ("network" in doc) is not flat
     sections = [(doc, DOCUMENT_KEYS), (doc["time_grid"], TIME_GRID_KEYS)]

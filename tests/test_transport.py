@@ -4,7 +4,7 @@ import hashlib
 import pytest
 
 import evmarket.transport
-from evmarket import GenParams, RoadNetwork, TimeCostParams, TimeGrid, build_requests, generate
+from evmarket import GenParams, RoadNetwork, TimeGrid, build_requests, generate
 from evmarket.experiments import DESK, DESK_CONTESTED
 from evmarket.serialize import instance_from_dict, instance_to_dict
 from evmarket.transport import distances_km, remaining_request
@@ -114,7 +114,7 @@ def test_flat_time_cost_reduces_valuation():
 
 
 def test_routed_requests():
-    net = line_network(time_cost=TimeCostParams(per_drive_point=5, per_walk_km=3))
+    net = line_network(per_drive_point=5, per_walk_km=3)
     st = make_station("L1")
     st = type(st)(**{**st.__dict__, "location": 2})
     ev = make_ev("a1", demand=1, valuation=300, park=6, capacity=5, initial=2)
@@ -125,6 +125,10 @@ def test_routed_requests():
     # drive cost 2*5, walk back home 2 km * 3
     assert acc.time_cost == 16
     assert acc.valuation == 300 - 16
+    # the EV's own time cost adds to the drive and walk terms
+    ev = dataclasses.replace(ev, time_cost=4)
+    acc = build_requests(net, [ev], [st], TimeGrid(8))[0].access("L1")
+    assert (acc.time_cost, acc.valuation) == (20, 300 - 20)
 
 
 def test_station_off_the_network_is_named():
@@ -148,18 +152,6 @@ def test_routed_unreachable_battery():
     ev = make_ev("a1", demand=1, valuation=300, capacity=2, initial=1)
     req = build_requests(net, [ev], [st], TimeGrid(8))[0]
     assert req.per_station == {}
-
-
-def test_reprice_requests():
-    from evmarket.transport import reprice_requests
-
-    st = make_station("L1")
-    evs = [make_ev("a1", demand=1, valuation=100), make_ev("a2", demand=1, valuation=200)]
-    reqs = build_requests(None, evs, [st], TimeGrid(4))
-    out = reprice_requests(reqs, {"a1": 0})
-    assert out[0].ev.base_valuation == 0
-    assert out[0].feasible_stations == frozenset()
-    assert out[1] is reqs[1]
 
 
 def test_remaining_request_cuts_the_frozen_prefix():
@@ -225,7 +217,9 @@ def test_routing_runs_once_per_station_location(monkeypatch):
     [({"avg_speed": 0.0}, "avg_speed"),
      ({"edges": ((0, 1, 1.0), (1, 9, 1.0))}, "edges[1].b"),
      ({"charging_nodes": frozenset({9})}, "charging_nodes"),
-     ({"edges": ((0, 1, 0.0),)}, "edges[0].km")],
+     ({"edges": ((0, 1, 0.0),)}, "edges[0].km"),
+     ({"per_drive_point": -1}, "per_drive_point"),
+     ({"per_walk_km": -1}, "per_walk_km")],
 )
 def test_network_checks_its_fields(kw, field):
     # build_requests divided by a zero speed before the network checked itself
