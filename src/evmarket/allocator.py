@@ -112,7 +112,6 @@ class SolveResult:
     allocation: Allocation
     status: str
     nodes: int = 0
-    runtime_s: float = 0.0
     proof: str = "milp"  # the rung that ended the solve: "milp", "lp-bound" or "lp-integral"
 
 
@@ -398,19 +397,18 @@ def solve_exact(model: IpModel, time_limit: float = DEFAULT_TIME_LIMIT,
     lb, ub = model.lb.copy(), model.ub.copy()
     lb[cols] = ub[cols] = 0.0
     if model.n_vars == 0:
-        return SolveResult(_allocation_from_x(model, lb), STATUS_OPTIMAL, 0, time.monotonic() - start)
+        return SolveResult(_allocation_from_x(model, lb), STATUS_OPTIMAL)
     model._session = model._session or _Session(model)
     model._session.set_bounds(cols, lb[cols], ub[cols])
     try:
         if incumbent is not None:
             proven = _prove_by_lp(model, lb, ub, incumbent, time_limit)
             if proven is not None:
-                return SolveResult(proven[0], STATUS_OPTIMAL, 0, time.monotonic() - start, proven[1])
+                return SolveResult(proven[0], STATUS_OPTIMAL, proof=proven[1])
             time_limit = max(0.0, time_limit - (time.monotonic() - start))
         status, x, _, info = model._session.run(time_limit, relaxation=False)
     finally:
         model._session.set_bounds(cols, model.lb[cols], model.ub[cols])
-    runtime = time.monotonic() - start
     if status == _core.HighsModelStatus.kInfeasible:
         raise Infeasible("model infeasible: contradictory pinned commitments")
     if status == _core.HighsModelStatus.kTimeLimit:
@@ -419,14 +417,14 @@ def solve_exact(model: IpModel, time_limit: float = DEFAULT_TIME_LIMIT,
             cand = _allocation_from_x(model, np.round(x))
             if cand.objective > baseline.objective:
                 baseline = cand
-        return SolveResult(baseline, STATUS_TIME_LIMITED, info.mip_node_count, runtime)
+        return SolveResult(baseline, STATUS_TIME_LIMITED, info.mip_node_count)
     if status != _core.HighsModelStatus.kOptimal:
         raise RuntimeError(f"MILP solve failed with status {status}")
     allocation = _allocation_from_x(model, np.round(x))
     if abs(-info.objective_function_value - allocation.objective) >= 0.5:
         raise RuntimeError(f"solver objective {-info.objective_function_value} drifted "
                            f"from exact evaluation {allocation.objective}")
-    return SolveResult(allocation, STATUS_OPTIMAL, info.mip_node_count, runtime)
+    return SolveResult(allocation, STATUS_OPTIMAL, info.mip_node_count)
 
 
 def validate_allocation(instance: Instance, allocation: Allocation) -> list[Violation]:

@@ -172,11 +172,9 @@ def cmd_online(args) -> int:
     if args.clearing_points:
         try:
             schedule = ClearingSchedule(tuple(args.clearing_points))
+            schedule.check_horizon(instance.time_grid.horizon_len)
         except ValueError as exc:
             raise UsageError(f"--clearing-points: {exc}, got {args.clearing_points}") from None
-        horizon = instance.time_grid.horizon_len
-        if not 1 <= schedule.points[0] <= schedule.points[-1] <= horizon:
-            raise UsageError(f"--clearing-points must lie in [1, {horizon}], got {args.clearing_points}")
     else:
         try:
             schedule = ClearingSchedule.evenly(instance.time_grid.horizon_len, args.clearings)

@@ -101,12 +101,19 @@ def _summary(agg: dict) -> list[list]:
     return [[*key, *map(_fmt_cell, columns.values())] for key, columns in sorted(agg.items())]
 
 
+def _seeds(reps: int, seed0: int) -> range:
+    """A study's generator seeds, reps of them from seed0; reps below 1 raises ValueError."""
+    if reps < 1:
+        raise ValueError(f"reps must be at least 1, got {reps}")
+    return range(seed0, seed0 + reps)
+
+
 def _desk_markets(field: str, values: tuple[int, ...], reps: int, seed0: int):
     """A study's markets: (value, seed, params, instance) for each value of
     one DESK field and each of reps seeds from seed0."""
     for value in values:
         params = replace(DESK, **{field: value})
-        for seed in range(seed0, seed0 + reps):
+        for seed in _seeds(reps, seed0):
             yield value, seed, params, generate(params, seed)
 
 
@@ -264,7 +271,7 @@ def run_exp4(
     solve = partial(solve_exact, time_limit=time_limit)
     per_rep = []
     deltas: dict[str, dict[str, list[float]]] = {}
-    for seed in range(seed0, seed0 + reps):
+    for seed in _seeds(reps, seed0):
         truth_inst = generate(DESK_CONTESTED, seed)
         lying_inst, truth_map = perturb_reports(
             truth_inst, liar_fraction=EXP4_LIAR_FRACTION,

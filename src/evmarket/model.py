@@ -10,13 +10,20 @@ All types are immutable after construction and safe to share across workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import AbstractSet, Mapping, Optional
 
 Money = int  # fixed-point, MONEY_SCALE units per currency unit
 Energy = int  # whole energy units
 
 MONEY_SCALE = 100
+
+
+def non_integer_field(obj) -> Optional[str]:
+    """The first field of dataclass obj declared int, Money or Energy whose
+    value is not an int (a bool is not one); None when every one is."""
+    return next((f.name for f in fields(obj)
+                 if f.type in ("int", "Money", "Energy") and type(getattr(obj, f.name)) is not int), None)
 
 
 @dataclass(frozen=True)
@@ -27,6 +34,8 @@ class TimeGrid:
     minutes_per_point: int = 15  # reporting only
 
     def __post_init__(self) -> None:
+        if name := non_integer_field(self):
+            raise ValueError(f"{name} must be an integer")
         if self.horizon_len < 1:
             raise ValueError("horizon_len must be >= 1")
 
@@ -43,6 +52,10 @@ class Station:
     expected_demand: tuple[int, ...]  # contracted EV count per time point
 
     def __post_init__(self) -> None:
+        if name := non_integer_field(self):
+            raise ValueError(f"station {self.id}: {name} must be an integer")
+        if any(type(d) is not int for d in self.expected_demand):
+            raise ValueError(f"station {self.id}: expected_demand entries must be integers")
         if self.slots < 0:
             raise ValueError(f"station {self.id}: slots must be >= 0")
         if self.rate <= 0:
@@ -75,6 +88,8 @@ class EvType:
     time_cost: Money = 0  # disutility at every station, added to any travel cost
 
     def __post_init__(self) -> None:
+        if name := non_integer_field(self):
+            raise ValueError(f"ev {self.id}: {name} must be an integer")
         if not 0 <= self.battery_initial <= self.battery_capacity:
             raise ValueError(f"ev {self.id}: battery_initial outside [0, capacity]")
         if not 0 < self.energy_demand <= self.battery_capacity:
@@ -166,6 +181,8 @@ class Instance:
     _requests_by_id: dict[str, EvRequest] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if name := non_integer_field(self):
+            raise ValueError(f"{name} must be an integer")
         if self.imbalance_unit_cost < 0:
             raise ValueError("imbalance_unit_cost must be >= 0")
         stations = _index(self.stations, lambda s: s.id, "station")
@@ -210,17 +227,17 @@ class PricingOutcome:
         )
 
     @classmethod
-    def settle(cls, instance: Instance, allocation: Allocation, payments: Mapping[str, Money],
-               utilities: Mapping[str, Money], charged: AbstractSet[str]) -> "PricingOutcome":
-        """Outcome of serving the charged agents on allocation: each one's
+    def settle(cls, instance: Instance, schedule: AbstractSet[tuple[str, str, int]],
+               payments: Mapping[str, Money], utilities: Mapping[str, Money],
+               charged: AbstractSet[str]) -> "PricingOutcome":
+        """Outcome of serving the charged agents on schedule: each one's
         electricity cost over its scheduled slots, and the imbalance of the
         whole schedule."""
         elec = dict.fromkeys(sorted(charged), 0)
-        for aid, sid, _ in allocation.schedule:
+        for aid, sid, _ in schedule:
             if aid in elec:
                 elec[aid] += instance.station(sid).slot_elec_cost
-        return cls(payments, utilities, frozenset(charged), elec,
-                   imbalance_cost(instance, allocation.schedule))
+        return cls(payments, utilities, frozenset(charged), elec, imbalance_cost(instance, schedule))
 
 
 def imbalance_cost(instance: Instance, schedule: AbstractSet[tuple[str, str, int]]) -> Money:

@@ -30,6 +30,11 @@ class ClearingSchedule:
         if any(b <= a for a, b in zip(self.points, self.points[1:])):
             raise ValueError("clearing points must be strictly increasing")
 
+    def check_horizon(self, horizon: int) -> None:
+        """Raise ValueError unless every point lies in [1, horizon], the times a market can clear."""
+        if not 1 <= self.points[0] <= self.points[-1] <= horizon:
+            raise ValueError(f"clearing points must lie in [1, {horizon}]")
+
     @staticmethod
     def evenly(horizon: int, count: int) -> "ClearingSchedule":
         """count clearings spread over (0, horizon]; for 1 <= count <= horizon
@@ -71,13 +76,19 @@ def run_online(
     winners.  With carryover=True, agents left out at their first clearing
     stay eligible while their remaining window still fits their demand;
     the default is single-shot participation.  A VCG clearing whose solve
-    is not proven optimal raises CounterfactualNotOptimal.
+    is not proven optimal raises CounterfactualNotOptimal.  The result is
+    read from one ledger, written once as each agent commits.
     """
     if mechanism not in MECHANISMS:
         raise ValueError(f"unknown mechanism {mechanism!r}")
+    clearing_schedule.check_horizon(instance.time_grid.horizon_len)
 
-    committed_assigned: dict[str, str] = {}
-    committed_schedule: set[tuple[str, str, int]] = set()
+    # the ledger, each entry written when its agent commits
+    committed: dict[str, str] = {}  # agent -> station, in commit order
+    schedule: frozenset[tuple[str, str, int]] = frozenset()
+    payments = dict.fromkeys((r.ev.id for r in instance.requests), 0)
+    utilities = dict(payments)
+    proven = True  # every clearing so far proven optimal or a no-op
     clearings: list[ClearingResult] = []
     pool: list[str] = []
     prev_point = 0
@@ -86,9 +97,9 @@ def run_online(
         new_ids = [
             r.ev.id
             for r in instance.requests
-            if prev_point <= r.ev.start_time < t_p and r.ev.id not in committed_assigned
+            if prev_point <= r.ev.start_time < t_p and r.ev.id not in committed
         ]
-        carried = [aid for aid in pool if aid not in committed_assigned] if carryover else []
+        carried = [aid for aid in pool if aid not in committed] if carryover else []
         pool = carried + new_ids
         # the past is frozen: each pool agent's windows cut to start at t_p
         remaining = [remaining_request(instance.request(aid), t_p) for aid in pool]
@@ -96,60 +107,29 @@ def run_online(
         eligible = [req.ev.id for req in eligible_requests]
         prev_point = t_p
         if not eligible:
-            clearings.append(
-                ClearingResult(t_p, [], [], frozenset(), None, "no-op")
-            )
+            clearings.append(ClearingResult(t_p, [], [], frozenset(), None, "no-op"))
             continue
 
-        pinned = Allocation(
-            assigned=dict(committed_assigned),
-            schedule=frozenset(committed_schedule),
-            objective=0,
-        )
         model = build_model(dataclasses.replace(
             instance,
-            requests=tuple(instance.request(aid) for aid in committed_assigned)
-            + tuple(eligible_requests),
-            pinned=pinned,
+            requests=tuple(instance.request(aid) for aid in committed) + tuple(eligible_requests),
+            pinned=Allocation(dict(committed), schedule, 0),
         ))
         result = solver(model)
         allocation = result.allocation
-        newly_assigned = [
-            aid for aid in eligible if allocation.assigned.get(aid) is not None
-        ]
+        newly_assigned = [aid for aid in eligible if allocation.assigned.get(aid) is not None]
         outcome = price(mechanism, model, result, incr, solver=solver, agent_ids=newly_assigned)
         # only agents that actually charge become commitments
         committed_now = [aid for aid in newly_assigned if aid in outcome.charged]
         for aid in committed_now:
-            committed_assigned[aid] = allocation.assigned[aid]
+            committed[aid] = allocation.assigned[aid]
+            payments[aid], utilities[aid] = outcome.payments[aid], outcome.utilities[aid]
         added = frozenset(tr for tr in allocation.schedule if tr[0] in outcome.charged)
-        committed_schedule |= added
-        clearings.append(
-            ClearingResult(t_p, eligible, committed_now, added, outcome, result.status)
-        )
+        schedule |= added
+        proven &= result.status == STATUS_OPTIMAL
+        clearings.append(ClearingResult(t_p, eligible, committed_now, added, outcome, result.status))
 
-    assigned_all: dict[str, Optional[str]] = {
-        r.ev.id: committed_assigned.get(r.ev.id) for r in instance.requests
-    }
-    schedule_all = frozenset(committed_schedule)
-    combined = Allocation(
-        assigned=assigned_all,
-        schedule=schedule_all,
-        objective=evaluate_objective(instance, assigned_all, schedule_all),
-    )
-    payments = dict.fromkeys(assigned_all, 0)
-    utilities = dict.fromkeys(assigned_all, 0)
-    for c in clearings:
-        for aid in c.newly_committed:
-            payments[aid] = c.outcome.payments[aid]
-            utilities[aid] = c.outcome.utilities[aid]
-    merged = PricingOutcome.settle(
-        instance, combined, payments, utilities, frozenset(committed_assigned)
-    )
-    proven = all(c.status in (STATUS_OPTIMAL, "no-op") for c in clearings)
-    return OnlineResult(
-        clearings=clearings,
-        allocation=combined,
-        outcome=merged,
-        status=STATUS_OPTIMAL if proven else STATUS_TIME_LIMITED,
-    )
+    assigned = {aid: committed.get(aid) for aid in payments}
+    combined = Allocation(assigned, schedule, evaluate_objective(instance, assigned, schedule))
+    outcome = PricingOutcome.settle(instance, schedule, payments, utilities, committed.keys())
+    return OnlineResult(clearings, combined, outcome, STATUS_OPTIMAL if proven else STATUS_TIME_LIMITED)

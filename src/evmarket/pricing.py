@@ -35,13 +35,19 @@ class NoBreakeven(Exception):
     """The Coop markup never turned the budget positive within incr <= 1.0."""
 
 
+def _proven(result: SolveResult, what: str, why: str = "") -> None:
+    """Raise CounterfactualNotOptimal unless result is a proven optimum."""
+    if result.status != STATUS_OPTIMAL:
+        raise CounterfactualNotOptimal(f"{what} ended with status {result.status}{why}")
+
+
 def _coop_price(energy_demand: int, elec_cost: Money, incr_mil: int) -> Money:
     raw = energy_demand * elec_cost * (1000 + incr_mil)
     return (raw + 500) // 1000  # half-up in fixed point
 
 
 def _scope(allocation: Allocation, agent_ids: Optional[Iterable[str]]) -> list[str]:
-    """The agents to price, in id order: agent_ids, or every assigned agent."""
+    """The agents to price, in id order: agent_ids, or every assigned agent, pinned or not."""
     if agent_ids is None:
         agent_ids = (aid for aid, sid in allocation.assigned.items() if sid is not None)
     return sorted(set(agent_ids))
@@ -69,27 +75,19 @@ def price_coop(
     charged = set()
     dropped = set()
     for aid in _scope(allocation, agent_ids):
+        payments[aid] = utilities[aid] = 0
         sid = allocation.assigned.get(aid)
         if sid is None:
-            payments[aid] = 0
-            utilities[aid] = 0
             continue
         req = instance.request(aid)
         fee = _coop_price(req.ev.energy_demand, instance.station(sid).elec_cost, incr_mil)
         val = req.access(sid).valuation
         if fee > val:
             dropped.add(aid)
-            payments[aid] = 0
-            utilities[aid] = 0
         else:
             charged.add(aid)
-            payments[aid] = fee
-            utilities[aid] = val - fee
-    kept_schedule = frozenset(tr for tr in allocation.schedule if tr[0] not in dropped)
-    kept_assigned = {
-        aid: (None if aid in dropped else sid) for aid, sid in allocation.assigned.items()
-    }
-    kept = Allocation(assigned=kept_assigned, schedule=kept_schedule, objective=allocation.objective)
+            payments[aid], utilities[aid] = fee, val - fee
+    kept = frozenset(tr for tr in allocation.schedule if tr[0] not in dropped)
     return PricingOutcome.settle(instance, kept, payments, utilities, charged)
 
 
@@ -114,30 +112,25 @@ def _vcg(model: IpModel, allocation: Allocation, solver: Solver,
          agent_ids: Optional[Iterable[str]]) -> PricingOutcome:
     """price_vcg with every counterfactual solved on model."""
     instance = model.instance
-    pinned_agents = set(instance.pinned.assigned) if instance.pinned else set()
     payments: dict[str, Money] = {}
     utilities: dict[str, Money] = {}
     charged = set()
     for aid in _scope(allocation, agent_ids):
+        payments[aid] = utilities[aid] = 0
         sid = allocation.assigned.get(aid)
-        if sid is None or aid in pinned_agents:
-            payments[aid] = 0
-            utilities[aid] = 0
+        if sid is None:
             continue
         # without aid in it, D_i's welfare is the same in the market without aid
         assigned = {a: s for a, s in allocation.assigned.items() if a != aid}
         schedule = frozenset(tr for tr in allocation.schedule if tr[0] != aid)
         welfare = evaluate_objective(instance, assigned, schedule)
         result = solver(model, incumbent=Allocation(assigned, schedule, welfare), without=aid)
-        if result.status != STATUS_OPTIMAL:
-            raise CounterfactualNotOptimal(
-                f"counterfactual solve without {aid} ended with status {result.status}"
-            )
+        _proven(result, f"counterfactual solve without {aid}")
         val = instance.request(aid).access(sid).valuation
         payments[aid] = result.allocation.objective - (allocation.objective - val)
         utilities[aid] = val - payments[aid]
         charged.add(aid)
-    return PricingOutcome.settle(instance, allocation, payments, utilities, charged)
+    return PricingOutcome.settle(instance, allocation.schedule, payments, utilities, charged)
 
 
 def price(mechanism: str, model: IpModel, result: SolveResult, incr: float,
@@ -153,10 +146,7 @@ def price(mechanism: str, model: IpModel, result: SolveResult, incr: float,
         return price_coop(model.instance, result.allocation, incr, agent_ids=agent_ids)
     if mechanism != "vcg":
         raise ValueError(f"unknown mechanism {mechanism!r}")
-    if result.status != STATUS_OPTIMAL:
-        raise CounterfactualNotOptimal(
-            f"allocation solve ended with status {result.status}; VCG needs a proven optimum"
-        )
+    _proven(result, "allocation solve", "; VCG needs a proven optimum")
     return _vcg(model, result.allocation, solver, agent_ids)
 
 
@@ -183,16 +173,13 @@ def calibrate_incr(
     agent leaving it where its fee first exceeds its valuation.  Between two
     such crossings the budget therefore does not fall, and each of these
     segments is binary-searched instead of walked.  A scenario whose
-    allocation solve is not proven optimal raises CounterfactualNotOptimal."""
+    allocation solve is not proven optimal raises CounterfactualNotOptimal,
+    and an empty family ValueError."""
     grid = markup_grid(step)
     stops = []
     for index, instance in enumerate(scenario_family):
         result = solver(build_model(instance))
-        if result.status != STATUS_OPTIMAL:
-            raise CounterfactualNotOptimal(
-                f"allocation solve of scenario {index} ended with status {result.status}; "
-                "calibration needs a proven optimum"
-            )
+        _proven(result, f"allocation solve of scenario {index}", "; calibration needs a proven optimum")
         allocation = result.allocation
 
         def positive(k: int) -> bool:
@@ -211,4 +198,6 @@ def calibrate_incr(
                 break
         else:
             raise NoBreakeven("budget never turned positive for a scenario within incr <= 1.0")
+    if not stops:
+        raise ValueError("scenario_family must hold at least one instance")
     return sum(stops) / len(stops)

@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
-from .model import EvRequest, EvType, Money, Station, StationAccess, TimeGrid
+from .model import EvRequest, EvType, Money, Station, StationAccess, TimeGrid, non_integer_field
 
 
 class NetworkError(ValueError):
@@ -41,6 +41,8 @@ class RoadNetwork:
     per_walk_km: Money = 0  # time cost per km walked on from it to the destination
 
     def __post_init__(self) -> None:
+        if name := non_integer_field(self):
+            raise NetworkError(name, "must be an integer")
         if not self.charging_nodes <= self.nodes:
             raise NetworkError("charging_nodes", "must be a subset of nodes")
         if not self.avg_speed > 0:

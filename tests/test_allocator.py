@@ -113,6 +113,38 @@ def test_infeasible_model_raises(tiny1):
         solve_exact(model)
 
 
+def _proofs_and_payments(half_cent: bool):
+    """tiny1 with an EV whose charge costs more than its value, so no optimum
+    serves it: the proof of each VCG counterfactual, and the payments.  With
+    half_cent, half a cent is added to a3's value at L1 on the model before
+    its first solve."""
+    inst = flat_instance(
+        [make_station("L1"), make_station("L2")],
+        [make_ev("a1", demand=2, valuation=500), make_ev("a2", demand=3, valuation=400),
+         make_ev("a3", demand=2, valuation=150)],
+    )
+    model = build_model(inst)
+    if half_cent:
+        model.c[model.phi_index[("a3", "L1")]] += 0.5
+    proofs = []
+
+    def recording(model, incumbent=None, without=None):
+        result = solve_exact(model, incumbent=incumbent, without=without)
+        proofs.append(result.proof)
+        return result
+
+    outcome = price("vcg", model, solve_exact(model), 0.0, solver=recording)
+    return proofs, outcome.payments
+
+
+def test_fractional_objective_skips_the_dual_bound():
+    # the exact dual bound needs integral c, b and A; a fractional c sends
+    # every counterfactual to branch-and-cut, which prices the same
+    proofs, payments = _proofs_and_payments(half_cent=False)
+    assert proofs == ["lp-bound", "lp-bound"]
+    assert _proofs_and_payments(half_cent=True) == (["milp", "milp"], payments)
+
+
 REFERENCE_MARKETS = [
     *((DESK, s) for s in range(1000, 1020)),
     *((DESK_CONTESTED, s) for s in range(10)),

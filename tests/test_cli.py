@@ -11,11 +11,11 @@ import evmarket.allocator
 import evmarket.cli
 import evmarket.experiments
 import evmarket.online
-from evmarket import ClearingSchedule, generate, run_online
+from evmarket import ClearingSchedule, build_model, generate, price_vcg, run_online, solve_exact
 from evmarket.allocator import STATUS_TIME_LIMITED, Infeasible, InfeasiblePin
 from evmarket.cli import main
 from evmarket.experiments import DESK
-from evmarket.serialize import dump_instance
+from evmarket.serialize import dump_instance, instance_to_dict, load_instance
 
 from conftest import flat_instance, make_ev, make_station, unproven_full_market_solver
 
@@ -386,3 +386,27 @@ def test_console_entrypoint_runs():
     )
     assert proc.returncode == 0
     assert "gen" in proc.stdout
+
+
+@pytest.mark.parametrize("number", sorted(evmarket.experiments.RUNNERS))
+def test_study_refuses_zero_reps(tmp_path, number):
+    # with no repetition a study has nothing to report, not a header-only file
+    with pytest.raises(ValueError, match="^reps must be at least 1, got 0$"):
+        evmarket.experiments.RUNNERS[number](str(tmp_path), reps=0)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_market_without_stations_serves_nobody(tmp_path, tiny1):
+    # a document may list no station: its model has no variable at all
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({**instance_to_dict(tiny1), "stations": []}))
+    inst = load_instance(str(path))
+    model = build_model(inst)
+    result = solve_exact(model)
+    assert (model.n_vars, result.status) == (0, "optimal")
+    assert result.allocation.assigned == {"a1": None, "a2": None}
+    assert price_vcg(inst, result.allocation).charged == frozenset()
+    online = run_online(inst, ClearingSchedule((1, 4)))
+    assert online.outcome.charged == frozenset() and online.status == "optimal"
+    assert main(["solve", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert json.loads((tmp_path / "out" / "summary.json").read_text())["serviced"] == 0

@@ -1,6 +1,6 @@
 """Every name a library module imports is used in it (no linter is installed),
-the library holds no assert statement, and importing the library leaves
-scipy.optimize and scipy.stats unloaded."""
+the library holds no assert statement, only the clearing layers read pins,
+and importing the library leaves scipy.optimize and scipy.stats unloaded."""
 
 import ast
 import os
@@ -52,6 +52,24 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"{path.name} has assert statements on lines {lines}"
+
+
+def _mentions_pinned(tree: ast.Module) -> bool:
+    """The module reads or sets pins: an attribute, keyword, name or field called pinned."""
+    return any(
+        (isinstance(node, ast.Attribute) and node.attr == "pinned")
+        or (isinstance(node, ast.keyword) and node.arg == "pinned")
+        or (isinstance(node, ast.Name) and node.id == "pinned")
+        for node in ast.walk(tree)
+    )
+
+
+def test_only_the_clearing_layers_read_pins():
+    # pins are the online run's commitments: the model carries them, the
+    # model builder and the oracle honour them, and pricing never needs them
+    readers = {path.name for path in SRC.glob("*.py") if _mentions_pinned(ast.parse(path.read_text()))}
+    assert readers <= {"model.py", "allocator.py", "bruteforce.py", "online.py"}
+    assert "online.py" in readers and "pricing.py" not in readers
 
 
 def _python(code: str) -> str:

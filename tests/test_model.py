@@ -2,7 +2,9 @@ import dataclasses
 
 import pytest
 
-from evmarket import EvRequest, EvType, MONEY_SCALE, Station, StationAccess, imbalance_cost
+from evmarket import (
+    EvRequest, EvType, MONEY_SCALE, RoadNetwork, Station, StationAccess, TimeGrid, imbalance_cost,
+)
 
 from conftest import flat_instance, make_ev, make_station
 
@@ -77,3 +79,26 @@ def test_request_derives_its_feasible_stations():
     req = EvRequest(make_ev("a1", demand=1, valuation=5),
                     {"L1": acc, "L2": dataclasses.replace(acc, valuation=0)})
     assert req.feasible_stations == frozenset({"L1"})
+
+
+# one refused value per type: (build, the message it raises)
+NOT_INTEGERS = {
+    "time_grid": (lambda: TimeGrid(horizon_len=4.0), "horizon_len must be an integer"),
+    # a 0.5-cent electricity price would make a 3-EV market's welfare 628.0
+    # and its VCG payments 300.0: money is integer cents in the library too
+    "station": (lambda: Station("L1", 0, 1, 1, 0.5, (0, 0, 0, 0)), "station L1: elec_cost must be an integer"),
+    "station-demand": (lambda: make_station("L1", dem=(0, 0.5, 0, 0)),
+                       "station L1: expected_demand entries must be integers"),
+    "ev": (lambda: make_ev("a1", demand=1, valuation=True), "ev a1: base_valuation must be an integer"),
+    "instance": (lambda: flat_instance([make_station("L1")], [], imbalance_unit_cost=2.5),
+                 "imbalance_unit_cost must be an integer"),
+    "road_network": (lambda: RoadNetwork(frozenset({0, 1}), ((0, 1, 1.0),), frozenset({0}), per_walk_km=1.5),
+                     "per_walk_km: must be an integer"),
+}
+
+
+@pytest.mark.parametrize("case", NOT_INTEGERS)
+def test_integer_field_refuses_a_non_integer(case):
+    build, message = NOT_INTEGERS[case]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()

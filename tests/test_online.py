@@ -2,7 +2,8 @@ import dataclasses
 
 import pytest
 
-from evmarket import ClearingSchedule, build_model, run_online, solve_exact
+import evmarket.online
+from evmarket import ClearingSchedule, build_model, generate, run_online, solve_exact
 from evmarket.allocator import validate_allocation
 from evmarket.experiments import DESK, _clearing_schedule
 from evmarket.pricing import CounterfactualNotOptimal
@@ -35,6 +36,14 @@ def test_evenly_gives_count_distinct_points_after_0():
                 ClearingSchedule.evenly(horizon, count)
     # every study clears at the same five points
     assert _clearing_schedule(dataclasses.replace(DESK, n_evs=10)).points == (3, 6, 9, 12, 15)
+
+
+@pytest.mark.parametrize("points", [(-5, 40), (0, 2), (2, 5)])
+def test_schedule_outside_the_horizon_is_refused(tiny1, points):
+    # a point below 1 or past the horizon is no clearing of this market; at
+    # (-5, 40) both would be no-ops, and the run would pass as optimal with nobody served
+    with pytest.raises(ValueError, match=r"^clearing points must lie in \[1, 4\]$"):
+        run_online(tiny1, ClearingSchedule(points), solver=bf_solver)
 
 
 def test_unknown_mechanism(tiny2):
@@ -174,3 +183,28 @@ def test_online_coop_pricing(tiny1):
         tiny1, ClearingSchedule((1,)), mechanism="coop", incr=0.0, solver=bf_solver
     )
     assert online.outcome.payments == {"a1": 200, "a2": 300}
+
+
+@pytest.mark.parametrize("mechanism", ["vcg", "coop"])
+@pytest.mark.parametrize("seed", range(3))
+def test_pricing_is_scoped_to_each_clearings_eligible_agents(seed, mechanism, monkeypatch):
+    # every agent a clearing hands to price is one of its eligible agents, so
+    # none is committed already: pricing never needs to know about pins
+    scopes = []
+    price = evmarket.online.price
+
+    def recording(mechanism, model, result, incr, solver, agent_ids):
+        scopes.append(list(agent_ids))
+        return price(mechanism, model, result, incr, solver=solver, agent_ids=agent_ids)
+
+    monkeypatch.setattr(evmarket.online, "price", recording)
+    inst = generate(DESK, seed)
+    online = run_online(inst, _clearing_schedule(DESK), mechanism=mechanism, carryover=True)
+    cleared = [c for c in online.clearings if c.status != "no-op"]
+    assert len(scopes) == len(cleared) > 0
+    committed = set()
+    for clearing, scope in zip(cleared, scopes):
+        assert set(scope) <= set(clearing.eligible)
+        assert not set(scope) & committed
+        committed |= set(clearing.newly_committed)
+    assert committed == online.outcome.charged

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from evmarket import build_model, calibrate_incr, generate, price, price_coop, price_vcg, solve_exact
+from evmarket import Allocation, build_model, calibrate_incr, generate, price, price_coop, price_vcg, solve_exact
 from evmarket.allocator import STATUS_OPTIMAL, STATUS_TIME_LIMITED, SolveResult, _Session
 from evmarket.experiments import DESK, DESK_CONTESTED
 from evmarket.pricing import CounterfactualNotOptimal, NoBreakeven, _coop_price, markup_grid
@@ -108,8 +108,22 @@ def test_vcg_requires_proven_counterfactuals(tiny2):
     def flaky(instance, time_limit=None, incumbent=None, without=None):
         return SolveResult(allocation=alloc, status=STATUS_TIME_LIMITED)
 
-    with pytest.raises(CounterfactualNotOptimal):
+    with pytest.raises(CounterfactualNotOptimal,
+                       match="^counterfactual solve without a1 ended with status feasible_time_limited$"):
         price_vcg(tiny2, alloc, solver=flaky)
+
+
+def test_pricing_prices_the_winners_its_caller_names(tiny2):
+    # pricing reads no pins: on a pinned market it prices every winner, a
+    # pinned one too, unless the caller names whom to price
+    pinned = Allocation({"a2": "L1"}, frozenset({("a2", "L1", 0), ("a2", "L1", 1)}), 0)
+    inst = dataclasses.replace(tiny2, pinned=pinned)
+    model = build_model(inst)
+    result = solve_exact(model)
+    everyone = price("vcg", model, result, 0.0)
+    assert everyone.charged == frozenset({"a2"})
+    assert (everyone.payments["a2"], everyone.utilities["a2"]) == (500, -100)  # a1's 500 displaced
+    assert price("vcg", model, result, 0.0, agent_ids=[]).charged == frozenset()
 
 
 def test_budget_no_agents():
@@ -159,6 +173,11 @@ def test_calibrate_incr_refuses_unproven_solve(tiny1):
                        match="^allocation solve of scenario 1 ended with status "
                              "feasible_time_limited"):
         calibrate_incr([one_agent, tiny1], solver=unproven_full_market_solver(2))
+
+
+def test_calibrate_incr_refuses_an_empty_family():
+    with pytest.raises(ValueError, match="^scenario_family must hold at least one instance$"):
+        calibrate_incr([])
 
 
 def test_calibrate_incr_rejects_bad_step(tiny1):
