@@ -5,15 +5,16 @@ minus the imbalance penalty, with one auxiliary nonnegative variable per
 (station, time) cell linearizing the absolute imbalance term (two lower-bound
 rows per cell).
 
-Pinned commitments are checked with validate_allocation, the same rules
-that judge any allocation; build_model raises InfeasiblePin naming every
-violation instead of building a model around a bad pin.
+Slots committed by earlier clearings (Instance.committed) add no
+variables: they enter each (station, time) cell as a fixed load, which
+lowers the cell's capacity row and shifts its imbalance rows.
 
 solve_exact runs every solve on one HiGHS session per model, branch-and-cut
 with a zero MIP gap.  The solution is re-evaluated in exact integer arithmetic
 (evaluate_objective, whose imbalance term is model.imbalance_cost) so that
 reported optima are bit-reproducible and comparable across counterfactual
-solves.  Given a known feasible allocation (the incumbent), solve_exact
+solves, and checked with validate_allocation, the rules that judge any
+allocation.  Given a known feasible allocation (the incumbent), solve_exact
 first tries to prove it, or the LP relaxation's point, optimal with an
 exact integer dual bound and runs branch-and-cut only when that fails.  A
 VCG counterfactual fixes one agent's columns to 0 on the market's model.
@@ -67,13 +68,9 @@ DEFAULT_TIME_LIMIT = 300.0  # seconds per exact solve
 DUAL_GRID = 2**20  # LP duals are rounded down to multiples of 1/DUAL_GRID
 
 
-class InfeasiblePin(Exception):
-    """The pinned commitments fail validate_allocation; the message lists
-    each violation by code and detail."""
-
-
 class Infeasible(Exception):
-    """The model has no feasible point (only possible with contradictory pins)."""
+    """The model has no feasible point (never one build_model made: serving
+    nobody always fits the committed load)."""
 
 
 @dataclass
@@ -119,16 +116,11 @@ def build_model(instance: Instance) -> IpModel:
     """Assemble objective, constraint rows, and variable bounds.
 
     Stations outside an EV's feasible set and time points outside its window
-    contribute no variables at all.  Pinned agents have every variable fixed
-    to its committed value.
+    contribute no variables at all.  A cell's committed load takes its
+    chargers off the capacity row and its expected demand off the
+    imbalance rows.
     """
-    if instance.pinned is not None:
-        violations = validate_allocation(instance, instance.pinned)
-        if violations:
-            raise InfeasiblePin("; ".join(f"{v.code}: {v.detail}" for v in violations))
     horizon = instance.time_grid.horizon_len
-    pinned_assigned = dict(instance.pinned.assigned) if instance.pinned else {}
-    pinned_slots = instance.pinned.schedule if instance.pinned else frozenset()
 
     phi_index: dict[tuple[str, str], int] = {}
     charge_index: dict[tuple[str, str, int], int] = {}
@@ -137,11 +129,11 @@ def build_model(instance: Instance) -> IpModel:
     lb: list[float] = []
     ub: list[float] = []
 
-    def add_var(coef: Money, fixed: Optional[bool] = None, hi: float = 1.0) -> int:
-        """New variable in [0, hi], or fixed to a pinned 0/1 value."""
+    def add_var(coef: Money, hi: float = 1.0) -> int:
+        """New variable in [0, hi]."""
         c.append(float(coef))
-        lb.append(0.0 if fixed is None else float(fixed))
-        ub.append(hi if fixed is None else float(fixed))
+        lb.append(0.0)
+        ub.append(hi)
         return len(c) - 1
 
     # binaries first (assignment, then charge): is_binary marks the first n_binary.
@@ -150,13 +142,12 @@ def build_model(instance: Instance) -> IpModel:
     pairs: list[list[tuple]] = []
     for req in instance.requests:
         aid = req.ev.id
-        pinned = aid in pinned_assigned
         own, columns[aid] = [], []
         for st in instance.stations:
             if st.id not in req.feasible_stations:
                 continue
             acc = req.access(st.id)
-            phi = add_var(acc.valuation, pinned_assigned[aid] == st.id if pinned else None)
+            phi = add_var(acc.valuation)
             phi_index[(aid, st.id)] = phi
             columns[aid].append(phi)
             own.append((st, acc, phi, []))
@@ -164,10 +155,9 @@ def build_model(instance: Instance) -> IpModel:
     cells: dict[tuple[str, int], list[int]] = {}  # (station, t) -> charge vars
     for req, own in zip(instance.requests, pairs):
         aid = req.ev.id
-        pinned = aid in pinned_assigned
         for st, acc, _, pair in own:
             for t in range(acc.arrival, acc.departure):
-                i = add_var(-st.slot_elec_cost, (aid, st.id, t) in pinned_slots if pinned else None)
+                i = add_var(-st.slot_elec_cost)
                 charge_index[(aid, st.id, t)] = i
                 columns[aid].append(i)
                 pair.append(i)
@@ -203,10 +193,11 @@ def build_model(instance: Instance) -> IpModel:
     for st in instance.stations:
         for t in range(horizon):
             cell = cells.get((st.id, t), [])
+            load = instance.committed_load(st.id, t)
             if cell:
-                add_row(dict.fromkeys(cell, 1.0), float(st.slots))
-            dem = st.expected_demand[t] if t < len(st.expected_demand) else 0
-            # |load - dem| <= m, one continuous variable per cell
+                add_row(dict.fromkeys(cell, 1.0), float(st.slots - load))
+            dem = st.demand_at(t) - load
+            # |cell + load - demand| <= m, one continuous variable per cell
             m = add_var(-instance.imbalance_unit_cost, hi=np.inf)
             add_row({**dict.fromkeys(cell, 1.0), m: -1.0}, float(dem))
             add_row({**dict.fromkeys(cell, -1.0), m: -1.0}, float(-dem))
@@ -337,7 +328,7 @@ def _dual_bound(model: IpModel, y: np.ndarray, lb: np.ndarray, ub: np.ndarray) -
 
 def _is_model_point(model: IpModel, allocation: Allocation, lb: np.ndarray, ub: np.ndarray) -> bool:
     """allocation passes validate_allocation and sets only variables the
-    model has, within lb and ub (so pins and `without` hold)."""
+    model has, within lb and ub (so `without` holds)."""
     x = np.zeros(model.n_vars)
     try:
         for aid, sid in allocation.assigned.items():
@@ -379,8 +370,9 @@ def solve_exact(model: IpModel, time_limit: float = DEFAULT_TIME_LIMIT,
 
     Every run goes to the model's one HiGHS session.  Branch-and-cut runs
     with a zero MIP gap; its solution is re-evaluated in exact integer
-    arithmetic.  Deterministic for a fixed input; reports
-    feasible_time_limited when the clock runs out before the proof.
+    arithmetic and, proven or not, must pass validate_allocation, else
+    RuntimeError names the violations.  Deterministic for a fixed input;
+    reports feasible_time_limited when the clock runs out before the proof.
 
     without names an agent whose columns are fixed to 0 for this solve: a
     VCG counterfactual solves the market without its winner on this model,
@@ -410,21 +402,24 @@ def solve_exact(model: IpModel, time_limit: float = DEFAULT_TIME_LIMIT,
     finally:
         model._session.set_bounds(cols, model.lb[cols], model.ub[cols])
     if status == _core.HighsModelStatus.kInfeasible:
-        raise Infeasible("model infeasible: contradictory pinned commitments")
+        raise Infeasible("model infeasible")
     if status == _core.HighsModelStatus.kTimeLimit:
-        baseline = _allocation_from_x(model, lb)  # every variable at its lower bound: the pins alone
-        if np.isfinite(info.objective_function_value):  # HiGHS holds a feasible point
-            cand = _allocation_from_x(model, np.round(x))
-            if cand.objective > baseline.objective:
-                baseline = cand
-        return SolveResult(baseline, STATUS_TIME_LIMITED, info.mip_node_count)
-    if status != _core.HighsModelStatus.kOptimal:
+        allocation = _allocation_from_x(model, lb)  # every variable at its lower bound 0: nobody served
+        if np.isfinite(info.objective_function_value):  # HiGHS holds a feasible point: the better one
+            allocation = max(allocation, _allocation_from_x(model, np.round(x)), key=lambda a: a.objective)
+    elif status == _core.HighsModelStatus.kOptimal:
+        allocation = _allocation_from_x(model, np.round(x))
+        if abs(-info.objective_function_value - allocation.objective) >= 0.5:
+            raise RuntimeError(f"solver objective {-info.objective_function_value} drifted "
+                               f"from exact evaluation {allocation.objective}")
+    else:
         raise RuntimeError(f"MILP solve failed with status {status}")
-    allocation = _allocation_from_x(model, np.round(x))
-    if abs(-info.objective_function_value - allocation.objective) >= 0.5:
-        raise RuntimeError(f"solver objective {-info.objective_function_value} drifted "
-                           f"from exact evaluation {allocation.objective}")
-    return SolveResult(allocation, STATUS_OPTIMAL, info.mip_node_count)
+    violations = validate_allocation(model.instance, allocation)
+    if violations:
+        raise RuntimeError("branch-and-cut point breaks the market's rules: "
+                           + "; ".join(f"{v.code}: {v.detail}" for v in violations))
+    solved = STATUS_OPTIMAL if status == _core.HighsModelStatus.kOptimal else STATUS_TIME_LIMITED
+    return SolveResult(allocation, solved, info.mip_node_count)
 
 
 def validate_allocation(instance: Instance, allocation: Allocation) -> list[Violation]:
@@ -477,8 +472,10 @@ def validate_allocation(instance: Instance, allocation: Allocation) -> list[Viol
     for sid in sorted(named - station_ids):
         violations.append(Violation("unknown-station", f"{sid} not in instance"))
     for (sid, t), load in loads.items():
-        if sid in station_ids and load > instance.station(sid).slots:
-            violations.append(Violation(
-                "station-capacity",
-                f"{load} EVs at ({sid},{t}) with {instance.station(sid).slots} chargers"))
+        if sid in station_ids:
+            load += instance.committed_load(sid, t)
+            if load > instance.station(sid).slots:
+                violations.append(Violation(
+                    "station-capacity",
+                    f"{load} EVs at ({sid},{t}) with {instance.station(sid).slots} chargers"))
     return violations

@@ -3,6 +3,8 @@
 Enumerates every EV-to-station assignment; for each assignment the stations
 decouple, and the optimal charging placement per station is found by exact
 dynamic programming over time with per-agent charged-slot counts as state.
+Each cell's committed load (Instance.committed) takes chargers and counts
+towards its imbalance, but is no agent's to place.
 Completely independent of the LP-based solver, so the two can cross-check
 each other.
 """
@@ -27,19 +29,13 @@ class TooLarge(Exception):
 def _station_best_schedule(
     instance: Instance, station_id: str, agent_ids: Sequence[str]
 ) -> Optional[tuple[int, list[tuple[str, str, int]]]]:
-    """Minimum electricity + imbalance cost of serving the given free agents
-    (plus any pinned agents) at one station, with the slot-by-slot schedule.
+    """Minimum electricity + imbalance cost of serving the given agents at
+    one station on top of its committed load, with the slot-by-slot schedule.
     Returns None when the agents cannot all complete their charge."""
     st = instance.station(station_id)
     horizon = instance.time_grid.horizon_len
     cimbl = instance.imbalance_unit_cost
     slot_cost = st.slot_elec_cost
-
-    forced: dict[int, list[str]] = {}
-    if instance.pinned is not None:
-        for aid, sid, t in instance.pinned.schedule:
-            if sid == station_id:
-                forced.setdefault(t, []).append(aid)
 
     free = []
     for aid in agent_ids:
@@ -59,10 +55,10 @@ def _station_best_schedule(
     states: dict[tuple[int, ...], int] = {tuple([0] * n): 0}
     parents: list[dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]]] = []
     for t in range(horizon):
-        dem = st.expected_demand[t] if t < len(st.expected_demand) else 0
-        n_forced = len(forced.get(t, []))
+        dem = st.demand_at(t)
+        committed = instance.committed_load(station_id, t)
         eligible = [i for i, (_, start, dep, _, _) in enumerate(free) if start <= t < dep]
-        cap_free = st.slots - n_forced
+        cap_free = st.slots - committed
         nxt: dict[tuple[int, ...], int] = {}
         par: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
         for state in sorted(states):
@@ -70,8 +66,7 @@ def _station_best_schedule(
             usable = [i for i in eligible if state[i] < free[i][4]]
             for size in range(0, min(cap_free, len(usable)) + 1):
                 for subset in itertools.combinations(usable, size):
-                    load = n_forced + size
-                    cost = base + load * slot_cost + abs(load - dem) * cimbl
+                    cost = base + size * slot_cost + abs(committed + size - dem) * cimbl
                     new = list(state)
                     for i in subset:
                         new[i] += 1
@@ -105,8 +100,6 @@ def _station_best_schedule(
         prev, subset = parents[t][state]
         for i in subset:
             triples.append((free[i][0], station_id, t))
-        for aid in forced.get(t, []):
-            triples.append((aid, station_id, t))
         state = prev
     return cost, triples
 
@@ -120,13 +113,7 @@ def solve_bruteforce(instance: Instance) -> Allocation:
     if instance.time_grid.horizon_len > GUARD_MAX_HORIZON:
         raise TooLarge(f"horizon {instance.time_grid.horizon_len} exceeds the oracle limit")
 
-    pinned_assigned = dict(instance.pinned.assigned) if instance.pinned else {}
-    options = []
-    for req in instance.requests:
-        if req.ev.id in pinned_assigned:
-            options.append([pinned_assigned[req.ev.id]])
-        else:
-            options.append([None] + sorted(req.feasible_stations))
+    options = [[None] + sorted(req.feasible_stations) for req in instance.requests]
 
     station_ids = [s.id for s in instance.stations]
     cache: dict[tuple[str, tuple[str, ...]], Optional[tuple[int, list]]] = {}
@@ -140,8 +127,7 @@ def solve_bruteforce(instance: Instance) -> Allocation:
         for req, sid in zip(instance.requests, combo):
             if sid is not None:
                 value += req.access(sid).valuation
-                if req.ev.id not in pinned_assigned:
-                    grouped[sid].append(req.ev.id)
+                grouped[sid].append(req.ev.id)
         cost = 0
         schedule: list[tuple[str, str, int]] = []
         feasible = True

@@ -10,11 +10,11 @@ Exit codes: 0 = every solve proven optimal; 2 = a time-limited incumbent
 allocation or counterfactual (solve then writes no pricing, exp no report),
 or calibrate-incr an unproven allocation.  Every other error maps to its
 stderr line and code in the ERRORS table read by main(): FormatError
-("error: cannot parse instance: ..."), Infeasible and InfeasiblePin
-("error: infeasible: ..."), NoBreakeven, ResampleLimit and UsageError, a flag
-value no run can honour ("error: --flag ..."), exit 1.  A usage error that
-argparse catches (an unknown flag, a flag the subcommand does not take, or
---clearings with --clearing-points) exits 2 with argparse's message.
+("error: cannot parse instance: ..."), Infeasible ("error: infeasible:
+..."), NoBreakeven, ResampleLimit and UsageError, a flag value no run can
+honour ("error: --flag ..."), exit 1.  A usage error that argparse catches
+(an unknown flag, a flag the subcommand does not take, or --clearings with
+--clearing-points) exits 2 with argparse's message.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import sys
 import time
 
 from . import __version__
-from .allocator import DEFAULT_TIME_LIMIT, STATUS_OPTIMAL, Infeasible, InfeasiblePin, build_model, solve_exact
+from .allocator import DEFAULT_TIME_LIMIT, STATUS_OPTIMAL, Infeasible, build_model, solve_exact
 from .model import MONEY_SCALE
 from .online import ClearingSchedule, run_online
 from .pricing import (
@@ -38,6 +38,7 @@ from .pricing import (
     calibrate_incr,
     markup_grid,
     price,
+    thousandths,
 )
 from .scenario import GenParams, ResampleLimit, generate
 from .serialize import (
@@ -66,8 +67,10 @@ def _time_limit(args) -> float:
 
 
 def _check_incr(args) -> None:
-    if not 0 <= args.incr < float("inf"):  # NaN included
-        raise UsageError(f"--incr must be a finite number >= 0, got {args.incr}")
+    try:
+        thousandths("incr", args.incr, 0)  # the markups price_coop takes
+    except ValueError as exc:
+        raise UsageError(f"--{exc}") from None
 
 
 def _at_least_one(flag: str, value: int) -> int:
@@ -288,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
 # each library error: the prefix of its message on stderr, and the exit code
 ERRORS = (
     (FormatError, "cannot parse instance: ", EXIT_ERROR),
-    ((Infeasible, InfeasiblePin), "infeasible: ", EXIT_ERROR),
+    (Infeasible, "infeasible: ", EXIT_ERROR),
     (CounterfactualNotOptimal, "", EXIT_TIME_LIMITED),
     ((NoBreakeven, ResampleLimit, UsageError), "", EXIT_ERROR),
 )

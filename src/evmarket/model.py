@@ -10,6 +10,7 @@ All types are immutable after construction and safe to share across workers.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from typing import AbstractSet, Mapping, Optional
 
@@ -64,6 +65,10 @@ class Station:
             raise ValueError(f"station {self.id}: elec_cost must be >= 0")
         if any(d < 0 for d in self.expected_demand):
             raise ValueError(f"station {self.id}: expected_demand entries must be >= 0")
+
+    def demand_at(self, t: int) -> int:
+        """Contracted EV count at time point t; 0 past the end of expected_demand."""
+        return self.expected_demand[t] if t < len(self.expected_demand) else 0
 
     @property
     def slot_elec_cost(self) -> Money:
@@ -166,19 +171,23 @@ def _index(items, key, kind: str) -> dict:
 class Instance:
     """A fully resolved market problem.
 
-    pinned carries commitments from earlier market clearings that must be
-    preserved verbatim.  Station ids and EV ids must each be unique;
-    station() and request() look them up in indexes built at construction.
+    committed holds the (agent, station, t) slots that earlier market
+    clearings gave to agents outside this market: they take chargers and
+    count towards each cell's imbalance, and nothing here can move them.
+    Station ids and EV ids must each be unique; station() and request()
+    look them up in indexes built at construction, and committed_load()
+    in the per-cell load derived from committed.
     """
 
     time_grid: TimeGrid
     stations: tuple[Station, ...]
     requests: tuple[EvRequest, ...]
     imbalance_unit_cost: Money
-    pinned: Optional[Allocation] = None
+    committed: frozenset[tuple[str, str, int]] = frozenset()
     network: Optional[object] = None  # transport.RoadNetwork when routing is modelled
     _stations_by_id: dict[str, Station] = field(init=False, repr=False, compare=False)
     _requests_by_id: dict[str, EvRequest] = field(init=False, repr=False, compare=False)
+    _committed_load: Counter[tuple[str, int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if name := non_integer_field(self):
@@ -191,8 +200,20 @@ class Instance:
             unknown = set(req.per_station) - stations.keys()
             if unknown:
                 raise ValueError(f"request {req.ev.id} references unknown stations {sorted(unknown)}")
+        horizon = self.time_grid.horizon_len
+        load = Counter((sid, t) for _, sid, t in self.committed)
+        for aid, sid, t in sorted(self.committed):
+            if sid not in stations:
+                raise ValueError(f"committed slot {(aid, sid, t)} names an unknown station")
+            if not 0 <= t < horizon:
+                raise ValueError(f"committed slot {(aid, sid, t)} lies outside [0, {horizon})")
+            if aid in requests:
+                raise ValueError(f"committed slot {(aid, sid, t)} belongs to a request of this market")
+            if load[(sid, t)] > stations[sid].slots:
+                raise ValueError(f"committed slots fill ({sid},{t}) past its {stations[sid].slots} chargers")
         object.__setattr__(self, "_stations_by_id", stations)
         object.__setattr__(self, "_requests_by_id", requests)
+        object.__setattr__(self, "_committed_load", load)
 
     @property
     def evs(self) -> tuple[EvType, ...]:
@@ -204,6 +225,10 @@ class Instance:
 
     def request(self, agent_id: str) -> EvRequest:
         return self._requests_by_id[agent_id]
+
+    def committed_load(self, station_id: str, t: int) -> int:
+        """Chargers that committed slots hold at (station_id, t)."""
+        return self._committed_load[(station_id, t)]
 
 
 @dataclass(frozen=True)
@@ -242,13 +267,11 @@ class PricingOutcome:
 
 def imbalance_cost(instance: Instance, schedule: AbstractSet[tuple[str, str, int]]) -> Money:
     """Penalty for deviating from the contracted demand profile: the sum over
-    every (station, time) cell of |actual load - expected| * unit cost."""
-    loads: dict[tuple[str, int], int] = {}
+    every (station, time) cell of |actual load - expected| * unit cost, where
+    the actual load counts the schedule and the instance's committed slots."""
+    loads = dict(instance._committed_load)
     for _, sid, t in schedule:
         loads[(sid, t)] = loads.get((sid, t), 0) + 1
-    total = 0
-    for s in instance.stations:
-        for t in range(instance.time_grid.horizon_len):
-            dem = s.expected_demand[t] if t < len(s.expected_demand) else 0
-            total += abs(loads.get((s.id, t), 0) - dem) * instance.imbalance_unit_cost
-    return total
+    return instance.imbalance_unit_cost * sum(
+        abs(loads.get((s.id, t), 0) - s.demand_at(t))
+        for s in instance.stations for t in range(instance.time_grid.horizon_len))

@@ -1,9 +1,10 @@
 """Periodic market clearing with immutable prior commitments.
 
-At each clearing point the accumulated reports are optimized together with
-every previously committed schedule pinned in place, then priced with the
-chosen mechanism scoped to the newly admitted agents.  Committed slots are
-never touched by later clearings.
+At each clearing point the accumulated reports are optimized on top of
+every previously committed slot, which enters the market as station load
+(Instance.committed), then priced with the chosen mechanism scoped to the
+newly admitted agents.  Committed slots are never touched by later
+clearings, and committed agents are no part of them.
 """
 
 from __future__ import annotations
@@ -71,13 +72,13 @@ def run_online(
     carryover: bool = False,
 ) -> OnlineResult:
     """Algorithm: for each clearing point, gather the agents that reported
-    since the previous one (report time = start_time), pin all existing
-    commitments, re-solve from the clearing time onward, and price the new
-    winners.  With carryover=True, agents left out at their first clearing
-    stay eligible while their remaining window still fits their demand;
-    the default is single-shot participation.  A VCG clearing whose solve
-    is not proven optimal raises CounterfactualNotOptimal.  The result is
-    read from one ledger, written once as each agent commits.
+    since the previous one (report time = start_time), load the stations
+    with all existing commitments, solve from the clearing time onward, and
+    price the new winners.  With carryover=True, agents left out at their
+    first clearing stay eligible while their remaining window still fits
+    their demand; the default is single-shot participation.  A VCG clearing
+    whose solve is not proven optimal raises CounterfactualNotOptimal.  The
+    result is read from one ledger, written once as each agent commits.
     """
     if mechanism not in MECHANISMS:
         raise ValueError(f"unknown mechanism {mechanism!r}")
@@ -110,11 +111,8 @@ def run_online(
             clearings.append(ClearingResult(t_p, [], [], frozenset(), None, "no-op"))
             continue
 
-        model = build_model(dataclasses.replace(
-            instance,
-            requests=tuple(instance.request(aid) for aid in committed) + tuple(eligible_requests),
-            pinned=Allocation(dict(committed), schedule, 0),
-        ))
+        model = build_model(dataclasses.replace(instance, requests=tuple(eligible_requests),
+                                                committed=schedule))
         result = solver(model)
         allocation = result.allocation
         newly_assigned = [aid for aid in eligible if allocation.assigned.get(aid) is not None]

@@ -1,8 +1,8 @@
 """Payment rules over a solved allocation: fixed-price (Coop) and VCG.
 
-All payments are exact fixed-point integers.  The Coop markup `incr` is
-interpreted in steps of 0.1% and applied with deterministic half-up
-rounding; VCG payments are differences of exact integer welfare values, so
+All payments are exact fixed-point integers.  The Coop markup `incr` is a
+whole number of 0.1% steps (thousandths) and each fee is rounded half-up;
+VCG payments are differences of exact integer welfare values, so
 counterfactual optima must be proven, not time-limited incumbents.
 """
 
@@ -41,13 +41,23 @@ def _proven(result: SolveResult, what: str, why: str = "") -> None:
         raise CounterfactualNotOptimal(f"{what} ended with status {result.status}{why}")
 
 
+def thousandths(name: str, value: float, least: int) -> int:
+    """value as a whole number of thousandths, at least least/1000, float
+    noise aside (0.007 * 1000 is 7.000000000000001); otherwise ValueError,
+    worded "<name> <rule>"."""
+    mils = value * 1000
+    if not (math.isfinite(mils) and round(mils) >= least and math.isclose(mils, round(mils))):
+        raise ValueError(f"{name} must be a whole number of thousandths >= {least / 1000:g}, got {value}")
+    return round(mils)
+
+
 def _coop_price(energy_demand: int, elec_cost: Money, incr_mil: int) -> Money:
     raw = energy_demand * elec_cost * (1000 + incr_mil)
     return (raw + 500) // 1000  # half-up in fixed point
 
 
 def _scope(allocation: Allocation, agent_ids: Optional[Iterable[str]]) -> list[str]:
-    """The agents to price, in id order: agent_ids, or every assigned agent, pinned or not."""
+    """The agents to price, in id order: agent_ids, or every assigned agent."""
     if agent_ids is None:
         agent_ids = (aid for aid, sid in allocation.assigned.items() if sid is not None)
     return sorted(set(agent_ids))
@@ -65,11 +75,9 @@ def price_coop(
     their slots stay unallocated (no re-optimization), and the imbalance is
     re-measured on the thinned schedule.  agent_ids limits pricing to the
     given agents (used by online clearings); everyone else keeps payment 0.
-    An incr that is not a finite number >= 0 raises ValueError.
+    An incr that is not a whole number of thousandths >= 0 raises ValueError.
     """
-    if not 0 <= incr < math.inf:  # NaN included
-        raise ValueError(f"incr must be a finite number >= 0, got {incr}")
-    incr_mil = round(incr * 1000)
+    incr_mil = thousandths("incr", incr, 0)
     payments: dict[str, Money] = {}
     utilities: dict[str, Money] = {}
     charged = set()
@@ -152,12 +160,8 @@ def price(mechanism: str, model: IpModel, result: SolveResult, incr: float,
 
 def markup_grid(step: float) -> range:
     """The markups calibrate_incr tries, in thousandths: 1, 1 + step, ... up to
-    1000.  step must be a whole number of thousandths >= 0.001, float noise
-    aside (0.007 * 1000 is 7.000000000000001); the ValueError reads "step <rule>"."""
-    mils = step * 1000
-    if not (math.isfinite(mils) and round(mils) >= 1 and math.isclose(mils, round(mils))):
-        raise ValueError(f"step must be a whole number of thousandths >= 0.001, got {step}")
-    return range(1, 1001, round(mils))
+    1000.  step must be a whole number of thousandths >= 0.001."""
+    return range(1, 1001, thousandths("step", step, 1))
 
 
 def calibrate_incr(

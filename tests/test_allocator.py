@@ -16,7 +16,7 @@ from evmarket import (
     solve_exact,
     validate_allocation,
 )
-from evmarket.allocator import Infeasible, InfeasiblePin, _dual_bound, _Session, evaluate_objective
+from evmarket.allocator import Infeasible, _core, _dual_bound, _Session, evaluate_objective
 from evmarket.experiments import DESK, DESK_CONTESTED
 from evmarket.transport import remaining_request
 
@@ -104,6 +104,25 @@ def test_objective_drift_raises(tiny1, monkeypatch):
     monkeypatch.setattr(_Session, "run", off_by_one_cent)
     with pytest.raises(RuntimeError, match="drifted"):
         solve_exact(build_model(tiny1))
+
+
+@pytest.mark.parametrize("status", ["kOptimal", "kTimeLimit"])
+def test_branch_and_cut_point_that_breaks_a_rule_raises(tiny2, monkeypatch, status):
+    # a rounded point that books both EVs onto tiny2's one charger, reported
+    # at its own exact welfare so that only validate_allocation can catch it
+    model = build_model(tiny2)
+    real_run = _Session.run
+
+    def double_booked(self, time_limit, relaxation):
+        _, _, y, info = real_run(self, time_limit, relaxation)
+        x = np.zeros(model.n_vars)
+        x[list(model.phi_index.values()) + list(model.charge_index.values())] = 1.0
+        info.objective_function_value = -900.0  # valuations 500 + 400, electricity free
+        return getattr(_core.HighsModelStatus, status), x, y, info
+
+    monkeypatch.setattr(_Session, "run", double_booked)
+    with pytest.raises(RuntimeError, match=r"station-capacity: 2 EVs at \(L1,0\) with 1 chargers"):
+        solve_exact(model)
 
 
 def test_infeasible_model_raises(tiny1):
@@ -224,20 +243,16 @@ def test_validate_charging_without_assignment(tiny2):
 
 
 def test_pins_are_respected(tiny2):
-    # force the slot to the lower-value agent: solver must keep it
-    pinned = Allocation(
-        assigned={"a2": "L1"},
-        schedule=frozenset({("a2", "L1", 0), ("a2", "L1", 1)}),
-        objective=0,
-    )
-    inst = dataclasses.replace(tiny2, pinned=pinned)
+    # the lower-value a2 holds the one charger from an earlier clearing: a1,
+    # the only agent left in the market, cannot take it
+    committed = frozenset({("a2", "L1", 0), ("a2", "L1", 1)})
+    inst = dataclasses.replace(drop_agent(tiny2, "a2"), committed=committed)
     result = solve_exact(build_model(inst))
-    assert result.allocation.assigned["a2"] == "L1"
-    assert result.allocation.assigned.get("a1") is None
-    assert result.allocation.objective == 400
+    assert result.allocation == Allocation({"a1": None}, frozenset(), 0)
+    assert solve_bruteforce(inst) == result.allocation
 
 
-BAD_PINS = [  # (violation code, pinned assignment, pinned schedule)
+BAD_PINS = [  # (violation code, assignment, schedule): once refused as pins, now as allocations
     ("station-capacity", {"a1": "L1", "a2": "L1"},
      {("a1", "L1", 0), ("a1", "L1", 1), ("a2", "L1", 0), ("a2", "L1", 1)}),
     ("outside-window", {"a1": "L1"}, {("a1", "L1", 1), ("a1", "L1", 2)}),
@@ -253,6 +268,7 @@ BAD_PINS = [  # (violation code, pinned assignment, pinned schedule)
 
 @pytest.mark.parametrize("code, assigned, schedule", BAD_PINS, ids=[c[0] for c in BAD_PINS])
 def test_contradictory_pins_raise(code, assigned, schedule):
+    # each allocation breaks the named rule of the market that holds a1, a2 and a3
     inst = flat_instance(
         [make_station("L1")],
         [
@@ -261,10 +277,17 @@ def test_contradictory_pins_raise(code, assigned, schedule):
             make_ev("a3", demand=1, valuation=100, time_cost=100),
         ],
     )
-    pinned = Allocation(assigned=assigned, schedule=frozenset(schedule), objective=0)
+    allocation = Allocation(assigned=assigned, schedule=frozenset(schedule), objective=0)
     assert "L1" in inst.request("a3").per_station
-    with pytest.raises(InfeasiblePin, match=code):
-        build_model(dataclasses.replace(inst, pinned=pinned))
+    assert code in {v.code for v in validate_allocation(inst, allocation)}
+
+
+def test_committed_load_fills_a_cell(tiny1):
+    # a1 alone at L1 is valid, until a committed slot takes L1's one charger at t=0
+    allocation = Allocation({"a1": "L1", "a2": None}, frozenset({("a1", "L1", 0), ("a1", "L1", 1)}), 0)
+    assert validate_allocation(tiny1, allocation) == []
+    loaded = dataclasses.replace(tiny1, committed=frozenset({("z1", "L1", 0)}))
+    assert [v.detail for v in validate_allocation(loaded, allocation)] == ["2 EVs at (L1,0) with 1 chargers"]
 
 
 def test_validate_reports_unknown_station(tiny2):
@@ -313,26 +336,27 @@ def _model_digests(model):
     return digests
 
 
-# five winners of the desk-30 seed-1000 market, as an earlier clearing would commit them
-DESK30_PINS = Allocation(
-    assigned={"a1": "L2", "a10": "L1", "a11": "L1", "a12": "L4", "a13": "L1"},
-    schedule=frozenset({
-        ("a1", "L2", 16), ("a1", "L2", 19), ("a1", "L2", 21), ("a10", "L1", 11),
-        ("a10", "L1", 14), ("a11", "L1", 10), ("a12", "L4", 10), ("a12", "L4", 13),
-        ("a13", "L1", 15),
-    }),
-    objective=0,
-)
+# the slots of five winners of the desk-30 seed-1000 market, a1, a10, a11,
+# a12 and a13, as an earlier clearing would commit them
+DESK30_COMMITTED = frozenset({
+    ("a1", "L2", 16), ("a1", "L2", 19), ("a1", "L2", 21), ("a10", "L1", 11),
+    ("a10", "L1", 14), ("a11", "L1", 10), ("a12", "L4", 10), ("a12", "L4", 13),
+    ("a13", "L1", 15),
+})
 
 
-def _desk30_pinned():
-    """The desk-30 seed-1000 market as a clearing at 6 after DESK30_PINS sees it."""
-    inst = _cut(generate(DESK, 1000), 6, keep=DESK30_PINS.assigned)
-    return dataclasses.replace(inst, pinned=DESK30_PINS)
+def _desk30_clearing(committed=DESK30_COMMITTED):
+    """The desk-30 seed-1000 market as a clearing at 6 after DESK30_COMMITTED
+    sees it: the other agents, cut to start at 6, over the committed load."""
+    inst = _cut(generate(DESK, 1000), 6)
+    holders = {aid for aid, _, _ in DESK30_COMMITTED}
+    inst = dataclasses.replace(inst, requests=tuple(r for r in inst.requests if r.ev.id not in holders))
+    return dataclasses.replace(inst, committed=committed)
 
 
-# Digests of the two models as HiGHS has always been given them; a change to
-# variable order, row order or any coefficient changes at least one.
+# Digests of the two models as HiGHS is given them: desk30 as it always has
+# been, desk30-committed since commitments enter a clearing as station load.
+# A change to variable order, row order or any coefficient changes at least one.
 GOLDEN_MODELS = {
     "desk30": {
         "c": "f0fb42b8d3a0508affd1634d6750729d4575159a25d3f1f4e1dc6583e9173c4c",
@@ -346,27 +370,54 @@ GOLDEN_MODELS = {
         "phi_index": "652902c43a2c1c2c7a1f5e441e65ffc997085aa68ece465e2f7e1a45f4f750ce",
         "charge_index": "84f8d3381394ad39bc278638fb40da48500afd5d05e303b1f8e6c1e3070c4413",
     },
-    "desk30-pinned": {
-        "c": "3b531a96d35d0c4943714f961d3eebcaac85e2ef0951f46cb97732c2ffb5d7ba",
-        "b": "1342e298dc5f650e49fd297fd7107d674a439c262e57ca732b1716eb9e54c2db",
-        "lb": "ee7a54e404bc6b1b8d9585dffbb884b41e75b5f2e6104cb6800af0ea52b99128",
-        "ub": "7a0a53cfbee16ad71b76366c65510dcd7b25739c1be8cc90e93a2f94f70ea8af",
-        "is_binary": "509bea49d35230cf232fd982deb8d6656fbcb9d3cb1d5bd9d15fba7c369461af",
-        "indptr": "f88a935cb52b369f8c1ece5f5cdf2388d50c6b55f7bea0ff57e4bce5995940a7",
-        "indices": "e4f4a4bbda05f389e8385be518558d5853484ce0f7201fbe440bb7728fabab4a",
-        "data": "8fb01bc1ecfb56097cb1677b0c2a6036c8d14babad35ca04f255211c63228d12",
-        "phi_index": "ca1fde7d6a5d31af9dac736e0773d68739a202fbf20e97abd792fbe751e1fa9c",
-        "charge_index": "8d0180eb8a5c1f7b4ef03ae39099a61d33253d7d3db5eeb7f3be8e1988374702",
+    "desk30-committed": {
+        "c": "009c81a7496e8ac018555ed371394ac6fd7bb9889c305b236f81cf89158fff66",
+        "b": "32f79a3e90306d162b7089591f40572eb4da533a1aa93547cbcbbbf39b0ffb86",
+        "lb": "fb1c8bbee2123010fec1ff436846cac2904920f360ecab8bcbe6aff3dd994f6b",
+        "ub": "c65e2811ea76d31f3ff2446893bab1259fbc2ebdaff8e1a98cc1b51e6d052f0e",
+        "is_binary": "9c4ff59a7a610164af4d1eff8299d61e751f2aac5560af36ac554afadae348c4",
+        "indptr": "9b116813a7046410cb0092ada8970bc5aa1603d86526d5148ebafa0a7eba7b5d",
+        "indices": "eff18a855be78c2cfe93ba4e90257f45140ce5819d4f89edef7051cedf6ca5cf",
+        "data": "b15b727cda705deeb3868f87ad7bf708c53b7578fb146db799f6657095ea22d0",
+        "phi_index": "4afdeaa01dca374a03d21509b7f0d487a2e91904a2909ffb86ee1c7034fcae8a",
+        "charge_index": "119a928f2356a30b867b1d0ff646bd1d2e33895cafebe6d8fdd867630921cf9f",
     },
 }
 
 
-@pytest.mark.parametrize("case", ["desk30", "desk30-pinned"])
+@pytest.mark.parametrize("case", ["desk30", "desk30-committed"])
 def test_model_matches_golden_digests(case):
     # variable order, row order and the entries within each row are part of
     # the model HiGHS sees; any change to them must be deliberate
-    inst = _desk30_pinned() if case == "desk30-pinned" else generate(DESK, 1000)
+    inst = _desk30_clearing() if case == "desk30-committed" else generate(DESK, 1000)
     assert _model_digests(build_model(inst)) == GOLDEN_MODELS[case]
+
+
+def test_committed_load_moves_only_the_loaded_cells_rows():
+    # the committed slots add no column and change no coefficient: only the
+    # right-hand sides of each loaded cell's capacity row (slots - load) and
+    # imbalance rows (demand - load, and its negation) move, in that order
+    free = build_model(_desk30_clearing(frozenset()))
+    loaded = build_model(_desk30_clearing())
+    for name in ("c", "lb", "ub", "is_binary"):
+        assert np.array_equal(getattr(free, name), getattr(loaded, name)), name
+    assert (free.A != loaded.A).nnz == 0
+    assert (free.phi_index, free.charge_index) == (loaded.phi_index, loaded.charge_index)
+    inst = loaded.instance
+    cell_of = {i: (sid, t) for (_, sid, t), i in loaded.charge_index.items()}
+    charged = set(cell_of.values())
+    n_binary, horizon = int(loaded.is_binary.sum()), inst.time_grid.horizon_len
+    for k, st in enumerate(inst.stations):  # one imbalance column per cell, station by station
+        for t in range(horizon):
+            cell_of[n_binary + k * horizon + t] = (st.id, t)
+    shifts = {}
+    for row in np.flatnonzero(free.b != loaded.b):
+        cols = loaded.A.indices[loaded.A.indptr[row]:loaded.A.indptr[row + 1]]
+        (cell,) = {cell_of[int(i)] for i in cols}  # every column of the row in one cell
+        shifts.setdefault(cell, []).append(loaded.b[row] - free.b[row])
+    cells = {(sid, t) for _, sid, t in DESK30_COMMITTED}
+    assert shifts == {cell: [-inst.committed_load(*cell)] * (cell in charged)
+                      + [-inst.committed_load(*cell), inst.committed_load(*cell)] for cell in cells}
 
 
 def _fractional_market(not_before=0):
@@ -544,14 +595,14 @@ def test_solve_without_agent_matches_bruteforce(tiny1, tiny2):
 
 
 def test_time_limited_solve_keeps_the_pins():
-    # the fallback when the clock runs out: every variable at its lower
-    # bound, which holds exactly the pins
-    inst = _desk30_pinned()
+    # the fallback when the clock runs out serves nobody, which the committed
+    # load always leaves room for
+    inst = _desk30_clearing()
     result = solve_exact(build_model(inst), time_limit=0.0)
     assert result.status == "feasible_time_limited"
+    assert result.allocation == Allocation(dict.fromkeys(result.allocation.assigned), frozenset(),
+                                           evaluate_objective(inst, {}, frozenset()))
     assert validate_allocation(inst, result.allocation) == []
-    assert {aid: result.allocation.assigned[aid] for aid in DESK30_PINS.assigned} == DESK30_PINS.assigned
-    assert DESK30_PINS.schedule <= result.allocation.schedule
 
 
 def test_time_limit_no_run_can_honour_raises(tiny1):

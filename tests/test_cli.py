@@ -12,7 +12,7 @@ import evmarket.cli
 import evmarket.experiments
 import evmarket.online
 from evmarket import ClearingSchedule, build_model, generate, price_vcg, run_online, solve_exact
-from evmarket.allocator import STATUS_TIME_LIMITED, Infeasible, InfeasiblePin
+from evmarket.allocator import STATUS_TIME_LIMITED, Infeasible
 from evmarket.cli import main
 from evmarket.experiments import DESK
 from evmarket.serialize import dump_instance, instance_to_dict, load_instance
@@ -181,6 +181,7 @@ def test_time_limit_reaches_every_solve(tmp_path, tiny1_file, monkeypatch):
     ("exp", ["4", "--reps", "0"]),
     ("solve", ["--incr", "-2", "--mechanism", "coop"]),
     ("solve", ["--incr", "nan", "--mechanism", "coop"]),
+    ("solve", ["--incr", "0.0025", "--mechanism", "coop"]),  # between two thousandths
     ("online", ["--incr", "-2", "--mechanism", "coop"]),
     ("online", ["--incr", "inf"]),
     ("online", ["--clearing-points", "0", "2"]),
@@ -264,16 +265,12 @@ def _raising(error):
 @pytest.mark.parametrize("command, module, name, replacement, code, err", [
     ("solve", evmarket.cli, "solve_exact", _raising(Infeasible("no point")), 1,
      "error: infeasible: no point\n"),
-    ("solve", evmarket.cli, "build_model", _raising(InfeasiblePin("min-charge: a1")), 1,
-     "error: infeasible: min-charge: a1\n"),
     ("online", evmarket.cli, "solve_exact", _raising(Infeasible("no point")), 1,
      "error: infeasible: no point\n"),
-    ("online", evmarket.online, "build_model", _raising(InfeasiblePin("min-charge: a1")), 1,
-     "error: infeasible: min-charge: a1\n"),
     ("online", evmarket.cli, "solve_exact", unproven_full_market_solver(2), 2,
      "error: allocation solve ended with status feasible_time_limited; "
      "VCG needs a proven optimum\n"),
-], ids=["solve-infeasible", "solve-pin", "online-infeasible", "online-pin", "online-unproven"])
+], ids=["solve-infeasible", "online-infeasible", "online-unproven"])
 def test_library_error_exit_code(tmp_path, tiny1_file, capsys, monkeypatch,
                                  command, module, name, replacement, code, err):
     monkeypatch.setattr(module, name, replacement)
@@ -301,7 +298,7 @@ def test_each_market_model_is_built_once(tmp_path, tiny1_file, built_models):
 
 
 def test_calibrate_incr_exits_2_on_unproven_solve(capsys):
-    # at a zero limit the allocation is the pins-only one, which assigns
+    # at a zero limit the allocation is the empty one, which assigns
     # nobody, so the budget can never turn positive: refused, not calibrated
     assert main(["calibrate-incr", "--n-instances", "3", "--seed", "1", "--n-evs", "10",
                  "--n-stations", "2", "--horizon", "12", "--elec-cost", "20",

@@ -1,5 +1,6 @@
 """Every name a library module imports is used in it (no linter is installed),
-the library holds no assert statement, only the clearing layers read pins,
+the library holds no assert statement, only the clearing layers read
+commitments,
 and importing the library leaves scipy.optimize and scipy.stats unloaded."""
 
 import ast
@@ -54,20 +55,22 @@ def test_no_assert_statements(path):
     assert lines == [], f"{path.name} has assert statements on lines {lines}"
 
 
-def _mentions_pinned(tree: ast.Module) -> bool:
-    """The module reads or sets pins: an attribute, keyword, name or field called pinned."""
+def _mentions_committed(tree: ast.Module) -> bool:
+    """The module reads or sets commitments: an attribute, keyword, name or
+    field called committed, or a read of committed_load."""
     return any(
-        (isinstance(node, ast.Attribute) and node.attr == "pinned")
-        or (isinstance(node, ast.keyword) and node.arg == "pinned")
-        or (isinstance(node, ast.Name) and node.id == "pinned")
+        (isinstance(node, ast.Attribute) and node.attr in ("committed", "committed_load"))
+        or (isinstance(node, ast.keyword) and node.arg == "committed")
+        or (isinstance(node, ast.Name) and node.id == "committed")
         for node in ast.walk(tree)
     )
 
 
 def test_only_the_clearing_layers_read_pins():
-    # pins are the online run's commitments: the model carries them, the
-    # model builder and the oracle honour them, and pricing never needs them
-    readers = {path.name for path in SRC.glob("*.py") if _mentions_pinned(ast.parse(path.read_text()))}
+    # commitments are the online run's earlier clearings: the model carries
+    # them as station load, the model builder and the oracle honour it, and
+    # pricing never needs them
+    readers = {path.name for path in SRC.glob("*.py") if _mentions_committed(ast.parse(path.read_text()))}
     assert readers <= {"model.py", "allocator.py", "bruteforce.py", "online.py"}
     assert "online.py" in readers and "pricing.py" not in readers
 

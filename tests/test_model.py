@@ -102,3 +102,38 @@ def test_integer_field_refuses_a_non_integer(case):
     build, message = NOT_INTEGERS[case]
     with pytest.raises(ValueError, match=f"^{message}$"):
         build()
+
+
+@pytest.mark.parametrize("slot, error", [
+    (("z1", "L9", 0), r"^committed slot \('z1', 'L9', 0\) names an unknown station$"),
+    (("z1", "L1", 4), r"^committed slot \('z1', 'L1', 4\) lies outside \[0, 4\)$"),
+    (("z1", "L1", -1), r"^committed slot \('z1', 'L1', -1\) lies outside \[0, 4\)$"),
+    (("a1", "L1", 0), r"^committed slot \('a1', 'L1', 0\) belongs to a request of this market$"),
+    (("z2", "L1", 3), r"^committed slots fill \(L1,3\) past its 1 chargers$"),
+], ids=["unknown-station", "past-horizon", "before-0", "market-agent", "overfull-cell"])
+def test_instance_refuses_a_committed_slot(tiny1, slot, error):
+    # z1 already holds L1's one charger at t=3, the last point of the horizon
+    with pytest.raises(ValueError, match=error):
+        dataclasses.replace(tiny1, committed=frozenset({("z1", "L1", 3), slot}))
+
+
+def test_instance_takes_committed_slots_up_to_each_cell_s_chargers(tiny1):
+    # the first and the last point, each cell filled to its one charger
+    slots = frozenset({("z1", "L1", 0), ("z1", "L1", 3), ("z2", "L2", 3)})
+    inst = dataclasses.replace(tiny1, committed=slots)
+    assert [inst.committed_load("L1", t) for t in range(4)] == [1, 0, 0, 1]
+    assert [inst.committed_load("L2", t) for t in range(4)] == [0, 0, 0, 1]
+
+
+def test_imbalance_counts_the_committed_load():
+    inst = flat_instance([make_station("L1", slots=2, dem=(2, 2))], [], imbalance_unit_cost=100,
+                         horizon=2)
+    inst = dataclasses.replace(inst, committed=frozenset({("z1", "L1", 0), ("z1", "L1", 1)}))
+    # |1 + 1 - 2| at t=0, |0 + 1 - 2| at t=1
+    assert imbalance_cost(inst, frozenset({("a1", "L1", 0)})) == 100
+    assert imbalance_cost(inst, frozenset()) == 200
+
+
+def test_demand_past_the_profile_is_zero():
+    station = make_station("L1", dem=(3, 1))
+    assert [station.demand_at(t) for t in range(4)] == [3, 1, 0, 0]

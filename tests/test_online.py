@@ -1,5 +1,6 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 import evmarket.online
@@ -168,8 +169,9 @@ def _engines_agree(model, incumbent=None, without=None):
 @pytest.mark.parametrize("mechanism", ["vcg", "coop"])
 @pytest.mark.parametrize("seed", range(40))
 def test_exact_engines_agree_on_every_clearing(seed, mechanism):
-    # each clearing is a pinned market of window-cut requests, and each VCG
-    # counterfactual one without a winner; HiGHS and the oracle agree on all
+    # each clearing is a market of window-cut requests over the committed
+    # load, and each VCG counterfactual one without a winner; HiGHS and the
+    # oracle agree on all
     inst = random_flat_instance(seed + 2000)
     horizon = inst.time_grid.horizon_len
     pts = tuple(sorted({max(1, horizon // 3), max(2, 2 * horizon // 3), horizon}))
@@ -189,12 +191,15 @@ def test_online_coop_pricing(tiny1):
 @pytest.mark.parametrize("seed", range(3))
 def test_pricing_is_scoped_to_each_clearings_eligible_agents(seed, mechanism, monkeypatch):
     # every agent a clearing hands to price is one of its eligible agents, so
-    # none is committed already: pricing never needs to know about pins
+    # none is committed already: pricing never needs to know about
+    # commitments; and the clearing's model fixes no column, as it carries
+    # the commitments as station load
     scopes = []
     price = evmarket.online.price
 
     def recording(mechanism, model, result, incr, solver, agent_ids):
         scopes.append(list(agent_ids))
+        assert np.all(model.lb < model.ub)
         return price(mechanism, model, result, incr, solver=solver, agent_ids=agent_ids)
 
     monkeypatch.setattr(evmarket.online, "price", recording)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from evmarket import Allocation, build_model, calibrate_incr, generate, price, price_coop, price_vcg, solve_exact
+from evmarket import build_model, calibrate_incr, generate, price, price_coop, price_vcg, solve_exact
 from evmarket.allocator import STATUS_OPTIMAL, STATUS_TIME_LIMITED, SolveResult, _Session
 from evmarket.experiments import DESK, DESK_CONTESTED
 from evmarket.pricing import CounterfactualNotOptimal, NoBreakeven, _coop_price, markup_grid
@@ -62,6 +62,18 @@ def test_coop_markup_no_run_can_honour_raises(tiny1):
             price_coop(tiny1, alloc, bad)
 
 
+@pytest.mark.parametrize("incr", [0.0025, 0.0035, 0.0045, 0.0001])
+def test_coop_markup_off_the_grid_is_refused(incr):
+    # a markup between two thousandths was once rounded to one of them, half
+    # to even: 0.0025 charged the fee of 0.002, 0.0035 and 0.0045 that of 0.004
+    inst = flat_instance([make_station("L1", elec_cost=5000, dem=(0, 0, 0, 0))],
+                         [make_ev("a1", demand=2, valuation=20000)])
+    alloc = solve_exact(build_model(inst)).allocation
+    with pytest.raises(ValueError, match=f"^incr must be a whole number of thousandths >= 0, got {incr}$"):
+        price_coop(inst, alloc, incr)
+    assert price_coop(inst, alloc, 0.002).payments["a1"] == 10020
+
+
 def test_vcg_tiny2(tiny2):
     alloc = solve_exact(build_model(tiny2)).allocation
     out = price_vcg(tiny2, alloc, solver=bf_solver)
@@ -114,16 +126,19 @@ def test_vcg_requires_proven_counterfactuals(tiny2):
 
 
 def test_pricing_prices_the_winners_its_caller_names(tiny2):
-    # pricing reads no pins: on a pinned market it prices every winner, a
-    # pinned one too, unless the caller names whom to price
-    pinned = Allocation({"a2": "L1"}, frozenset({("a2", "L1", 0), ("a2", "L1", 1)}), 0)
-    inst = dataclasses.replace(tiny2, pinned=pinned)
+    # pricing reads no commitments: on a market whose second charger an
+    # earlier clearing holds, it prices every winner unless the caller names
+    # whom to price
+    two_chargers = dataclasses.replace(tiny2.stations[0], slots=2)
+    inst = dataclasses.replace(tiny2, stations=(two_chargers,),
+                               committed=frozenset({("z1", "L1", 0), ("z1", "L1", 1)}))
     model = build_model(inst)
     result = solve_exact(model)
     everyone = price("vcg", model, result, 0.0)
-    assert everyone.charged == frozenset({"a2"})
-    assert (everyone.payments["a2"], everyone.utilities["a2"]) == (500, -100)  # a1's 500 displaced
+    assert everyone.charged == frozenset({"a1"})
+    assert (everyone.payments["a1"], everyone.utilities["a1"]) == (400, 100)  # a2's 400 displaced
     assert price("vcg", model, result, 0.0, agent_ids=[]).charged == frozenset()
+    assert price("vcg", model, result, 0.0, agent_ids=["a2"]).charged == frozenset()  # a loser
 
 
 def test_budget_no_agents():
