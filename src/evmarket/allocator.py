@@ -9,6 +9,11 @@ Slots committed by earlier clearings (Instance.committed) add no
 variables: they enter each (station, time) cell as a fixed load, which
 lowers the cell's capacity row and shifts its imbalance rows.
 
+The model holds its constraint matrix as plain CSR arrays, written row by
+row, and derives one column-wise copy of them, which HiGHS is given and
+from which the exact dual bound sums A^T y.  scipy.sparse is not imported:
+IpModel.A builds a scipy view of the arrays only for callers that ask.
+
 solve_exact runs every solve on one HiGHS session per model, branch-and-cut
 with a zero MIP gap.  The solution is re-evaluated in exact integer arithmetic
 (evaluate_objective, whose imbalance term is model.imbalance_cost) so that
@@ -34,7 +39,6 @@ from typing import Optional
 
 import numpy as np
 import scipy
-from scipy import sparse
 
 from .model import Allocation, Instance, Money, imbalance_cost
 
@@ -80,7 +84,11 @@ class IpModel:
     charge_index: dict[tuple[str, str, int], int]
     columns: dict[str, list[int]]  # each agent's assignment and charge variables
     c: np.ndarray  # objective (maximize), integer-valued cents
-    A: sparse.csr_matrix  # A x <= b
+    # A x <= b, A in CSR form: row r's columns, ascending, are
+    # indices[indptr[r]:indptr[r + 1]] (int32) with coefficients data[...] (float64)
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
     b: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
@@ -92,10 +100,29 @@ class IpModel:
         return len(self.c)
 
     @cached_property
-    def _transposes(self) -> Optional[tuple[sparse.csc_matrix, sparse.csc_matrix]]:
-        """abs(A)^T and int64 A^T for _dual_bound; None unless c, b and A are integral."""
-        integral = all(np.array_equal(v, np.trunc(v)) for v in (self.c, self.b, self.A.data))
-        return (abs(self.A).T, self.A.T.astype(np.int64)) if integral else None
+    def A(self) -> "scipy.sparse.csr_matrix":
+        """A as a scipy.sparse.csr_matrix sharing indptr, indices and data, for
+        callers that hand the model to scipy.  No library module reads it, so
+        scipy.sparse is imported only here."""
+        from scipy import sparse
+
+        return sparse.csr_matrix((self.data, self.indices, self.indptr),
+                                 shape=(len(self.b), self.n_vars), copy=False)
+
+    @cached_property
+    def colwise(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A column by column, as (start, row, value): column j's rows, ascending,
+        are row[start[j]:start[j + 1]] with coefficients value[...].  These are
+        the arrays A.tocsc() holds, dtypes included; HiGHS and _dual_bound read them."""
+        order = np.argsort(self.indices, kind="stable")
+        rows = np.repeat(np.arange(len(self.b), dtype=np.int32), np.diff(self.indptr))
+        start = np.concatenate(([0], np.cumsum(np.bincount(self.indices, minlength=self.n_vars))))
+        return start.astype(np.int32), rows[order], self.data[order]
+
+    @cached_property
+    def integral(self) -> bool:
+        """c, b and A hold only integers, as _dual_bound's exact arithmetic needs."""
+        return all(np.array_equal(v, np.trunc(v)) for v in (self.c, self.b, self.data))
 
 
 @dataclass(frozen=True)
@@ -164,16 +191,17 @@ def build_model(instance: Instance) -> IpModel:
                 cells.setdefault((st.id, t), []).append(i)
     n_binary = len(c)
 
+    indptr: list[int] = [0]
+    indices: list[int] = []
     data: list[float] = []
-    ri: list[int] = []
-    ci: list[int] = []
     b: list[float] = []
 
     def add_row(coefs: dict[int, float], rhs: float) -> None:
-        """Append the row coefs . x <= rhs."""
-        ri.extend([len(b)] * len(coefs))
-        ci.extend(coefs)
-        data.extend(coefs.values())
+        """Append the row coefs . x <= rhs, its columns in ascending order."""
+        cols = sorted(coefs)
+        indices.extend(cols)
+        data.extend([coefs[i] for i in cols])
+        indptr.append(len(indices))
         b.append(rhs)
 
     for req, own in zip(instance.requests, pairs):
@@ -203,7 +231,6 @@ def build_model(instance: Instance) -> IpModel:
             add_row({**dict.fromkeys(cell, -1.0), m: -1.0}, float(-dem))
 
     n = len(c)
-    A = sparse.csr_matrix((data, (ri, ci)), shape=(len(b), n))
     is_binary = np.zeros(n, dtype=bool)
     is_binary[:n_binary] = True
     return IpModel(
@@ -212,7 +239,9 @@ def build_model(instance: Instance) -> IpModel:
         charge_index=charge_index,
         columns=columns,
         c=np.array(c),
-        A=A,
+        indptr=np.array(indptr, dtype=np.int32),
+        indices=np.array(indices, dtype=np.int32),
+        data=np.array(data),
         b=np.array(b),
         lb=np.array(lb),
         ub=np.array(ub),
@@ -254,11 +283,10 @@ class _Session:
     Changing column bounds keeps HiGHS's basis, so an LP run warm-starts from the last."""
 
     def __init__(self, model: IpModel):
-        A = model.A.tocsc()
         lp = _core.HighsLp()
-        lp.num_row_, lp.num_col_ = A.shape  # passModel copies them into a_matrix_
+        lp.num_row_, lp.num_col_ = len(model.b), model.n_vars  # passModel copies them into a_matrix_
         lp.a_matrix_.format_ = _core.MatrixFormat.kColwise
-        lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = A.indptr, A.indices, A.data
+        lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = model.colwise
         lp.col_cost_, lp.col_lower_, lp.col_upper_ = -model.c, model.lb, model.ub
         lp.row_lower_, lp.row_upper_ = np.full(len(model.b), -np.inf), model.b
         lp.integrality_ = np.where(model.is_binary, _core.HighsVarType.kInteger, _core.HighsVarType.kContinuous)
@@ -296,6 +324,13 @@ class _Session:
         return result
 
 
+def _column_sums(start: np.ndarray, entries: np.ndarray) -> np.ndarray:
+    """Per column, the sum of its entries (given in colwise order); 0 for a
+    column without entries, which np.add.reduceat would get wrong."""
+    running = np.concatenate(([0], np.cumsum(entries)))
+    return running[start[1:]] - running[start[:-1]]
+
+
 def _dual_bound(model: IpModel, y: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> Optional[int]:
     """Exact integer upper bound on the optimum within bounds lb, ub from row multipliers y.
 
@@ -310,16 +345,18 @@ def _dual_bound(model: IpModel, y: np.ndarray, lb: np.ndarray, ub: np.ndarray) -
     """
     lo_open, hi_open = ~np.isfinite(lb), ~np.isfinite(ub)
     lo, hi = np.where(lo_open, 0.0, lb), np.where(hi_open, 0.0, ub)
-    if model._transposes is None or any(not np.array_equal(v, np.trunc(v)) for v in (lo, hi)):
+    if not model.integral or any(not np.array_equal(v, np.trunc(v)) for v in (lo, hi)):
         return None
+    start, row, value = model.colwise
     yq = np.floor(np.maximum(y, 0.0) * DUAL_GRID)
-    # every partial sum below is at most this sum of absolute values
-    column = DUAL_GRID * np.abs(model.c) + model._transposes[0] @ yq
+    # every partial sum below, the running sums of _column_sums included, is
+    # at most this sum of absolute values
+    column = DUAL_GRID * np.abs(model.c) + _column_sums(start, np.abs(value) * yq[row])
     magnitude = np.abs(model.b) @ yq + column @ np.maximum(np.maximum(-lo, hi), 1.0)
     if not magnitude < 2.0**62:
         return None
     yq = yq.astype(np.int64)
-    reduced = DUAL_GRID * model.c.astype(np.int64) - model._transposes[1] @ yq
+    reduced = DUAL_GRID * model.c.astype(np.int64) - _column_sums(start, value.astype(np.int64) * yq[row])
     if np.any((reduced > 0) & hi_open) or np.any((reduced < 0) & lo_open):
         return None
     best = np.where(reduced > 0, hi, lo).astype(np.int64)

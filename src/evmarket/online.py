@@ -28,6 +28,8 @@ class ClearingSchedule:
     def __post_init__(self) -> None:
         if not self.points:
             raise ValueError("at least one clearing point is required")
+        if (bad := next((p for p in self.points if type(p) is not int), None)) is not None:
+            raise ValueError(f"clearing point {bad!r} must be an integer")  # a bool is not one
         if any(b <= a for a, b in zip(self.points, self.points[1:])):
             raise ValueError("clearing points must be strictly increasing")
 

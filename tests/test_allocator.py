@@ -3,6 +3,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.optimize import linprog
 
 import evmarket.allocator
@@ -16,7 +17,9 @@ from evmarket import (
     solve_exact,
     validate_allocation,
 )
-from evmarket.allocator import Infeasible, _core, _dual_bound, _Session, evaluate_objective
+from evmarket.allocator import (
+    DUAL_GRID, Infeasible, IpModel, _core, _dual_bound, _Session, evaluate_objective,
+)
 from evmarket.experiments import DESK, DESK_CONTESTED
 from evmarket.transport import remaining_request
 
@@ -465,6 +468,97 @@ def test_dual_bound_refuses_unsound_multipliers():
     # the unbounded column would raise the bound without limit
     assert _dual_bound(model, np.full(rows, 1000.0), *box) is None
     assert _dual_bound(model, np.full(rows, 1e30), *box) is None  # int64 would overflow
+
+
+def _empty_column_model():
+    """Two rows over five binaries, columns 1 and 4 in no row:
+    x0 + x2 <= 1 and 2 x2 - x3 <= 1."""
+    return IpModel(
+        instance=None, phi_index={}, charge_index={}, columns={},
+        c=np.array([3.0, 5.0, 4.0, -2.0, 7.0]),
+        indptr=np.array([0, 2, 4], dtype=np.int32), indices=np.array([0, 2, 2, 3], dtype=np.int32),
+        data=np.array([1.0, 1.0, 2.0, -1.0]), b=np.array([1.0, 1.0]),
+        lb=np.zeros(5), ub=np.ones(5), is_binary=np.ones(5, dtype=bool),
+    )
+
+
+MATRIX_CASES = ["desk30", "desk30-committed", "desk60-2", "flat-8", "flat-21", "empty-columns"]
+
+
+def _matrix_case(case):
+    if case == "empty-columns":
+        return _empty_column_model()
+    return build_model({
+        "desk30": lambda: generate(DESK, 1000),
+        "desk30-committed": _desk30_clearing,
+        "desk60-2": lambda: generate(dataclasses.replace(DESK, n_evs=60), 2),
+        "flat-8": lambda: random_flat_instance(8),
+        "flat-21": lambda: random_flat_instance(21),
+    }[case]())
+
+
+def _scipy_csr(model):
+    """scipy's CSR matrix of the model's (row, column, value) entries, handed
+    over in a shuffled order, as the model was once assembled."""
+    rows = np.repeat(np.arange(len(model.b)), np.diff(model.indptr))
+    order = np.random.default_rng(0).permutation(len(rows))
+    return sparse.csr_matrix((model.data[order], (rows[order], model.indices[order])),
+                             shape=(len(model.b), model.n_vars))
+
+
+@pytest.mark.parametrize("case", MATRIX_CASES[:-1])
+def test_model_arrays_match_scipy(case):
+    # the model's CSR arrays are scipy's, each row's columns sorted, and its
+    # column-wise copy, which HiGHS is given, is scipy's tocsc()
+    model = _matrix_case(case)
+    ref = _scipy_csr(model)
+    csc = ref.tocsc()
+    pairs = [(model.indptr, ref.indptr), (model.indices, ref.indices), (model.data, ref.data),
+             *zip(model.colwise, (csc.indptr, csc.indices, csc.data))]
+    for mine, theirs in pairs:
+        assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
+    # the scipy view IpModel.A holds the model's own arrays
+    assert all(np.shares_memory(getattr(model.A, k), getattr(model, k)) for k in ("indptr", "indices", "data"))
+
+
+def _scipy_dual_bound(model, y, lb, ub):
+    """_dual_bound as computed on scipy.sparse transposes of A: the reference."""
+    A = _scipy_csr(model)
+    lo_open, hi_open = ~np.isfinite(lb), ~np.isfinite(ub)
+    lo, hi = np.where(lo_open, 0.0, lb), np.where(hi_open, 0.0, ub)
+    if not all(np.array_equal(v, np.trunc(v)) for v in (model.c, model.b, A.data, lo, hi)):
+        return None
+    yq = np.floor(np.maximum(y, 0.0) * DUAL_GRID)
+    column = DUAL_GRID * np.abs(model.c) + abs(A).T @ yq
+    magnitude = np.abs(model.b) @ yq + column @ np.maximum(np.maximum(-lo, hi), 1.0)
+    if not magnitude < 2.0**62:
+        return None
+    yq = yq.astype(np.int64)
+    reduced = DUAL_GRID * model.c.astype(np.int64) - A.T.astype(np.int64) @ yq
+    if np.any((reduced > 0) & hi_open) or np.any((reduced < 0) & lo_open):
+        return None
+    best = np.where(reduced > 0, hi, lo).astype(np.int64)
+    return (int(model.b.astype(np.int64) @ yq) + int(reduced @ best)) // DUAL_GRID
+
+
+@pytest.mark.parametrize("case", MATRIX_CASES)
+def test_dual_bound_matches_scipy_reference(case):
+    model = _matrix_case(case)
+    rows, rng = len(model.b), np.random.default_rng(1)
+    ys = [_lp_duals(model), np.full(rows, 1000.0), np.full(rows, 1e30)]
+    for scale in (1e-3, 0.1, 1.0, 1e3, 1e6, 1e9):
+        y = rng.exponential(scale, rows)
+        ys.append(np.where(rng.random(rows) < 0.5, 0.0, y))
+    # a finite box too, so that large y reach the overflow guard
+    boxes = [(model.lb, model.ub), (model.lb, np.minimum(model.ub, 50.0))]
+    if model.columns:  # and the box of a counterfactual without the first agent
+        lb, ub = model.lb.copy(), model.ub.copy()
+        cols = next(iter(model.columns.values()))
+        lb[cols] = ub[cols] = 0.0
+        boxes.append((lb, ub))
+    bounds = [_dual_bound(model, y, *box) for y in ys for box in boxes]
+    assert bounds == [_scipy_dual_bound(model, y, *box) for y in ys for box in boxes]
+    assert any(v is None for v in bounds) and any(v is not None for v in bounds)
 
 
 @pytest.mark.parametrize("case", ["one-cent-below", "invalid", "frozen-slot"])

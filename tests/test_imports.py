@@ -1,7 +1,8 @@
 """Every name a library module imports is used in it (no linter is installed),
 the library holds no assert statement, only the clearing layers read
 commitments,
-and importing the library leaves scipy.optimize and scipy.stats unloaded."""
+and neither importing the library nor running its commands (exp 4 aside)
+loads scipy.optimize, scipy.stats or scipy.sparse."""
 
 import ast
 import os
@@ -83,12 +84,32 @@ def _python(code: str) -> str:
                           text=True, check=True).stdout.strip()
 
 
-def test_library_leaves_scipy_optimize_and_stats_unloaded():
+# exp 4 is left out: its paired t-test imports scipy.stats, which loads scipy.sparse
+RUNS = [
+    ["gen", "--seed", "3", "--n-evs", "8", "--n-stations", "2", "--horizon", "12", "--out", "{d}/m.json"],
+    ["solve", "{d}/m.json", "--mechanism", "vcg", "--out", "{d}/solve"],
+    ["online", "{d}/m.json", "--mechanism", "vcg", "--carryover", "--out", "{d}/online"],
+    ["exp", "2", "--reps", "1", "--out", "{d}/exp"],
+    ["calibrate-incr", "--n-evs", "4", "--n-stations", "2", "--horizon", "10", "--elec-cost", "20",
+     "--imbalance-cost", "1", "--max-demand", "2", "--n-instances", "2", "--out", "{d}/incr.json"],
+]
+
+
+def test_library_leaves_scipy_optimize_stats_and_sparse_unloaded(tmp_path):
+    # IpModel.A imports scipy.sparse for callers that hand the model to
+    # scipy; no command reads it, so importing and running them loads none
     loaded = _python(
-        "import sys, evmarket, evmarket.cli; "
-        "print([m for m in ('scipy.optimize', 'scipy.stats') if m in sys.modules])"
+        "import contextlib, io, sys, evmarket, evmarket.cli\n"
+        "unloaded = lambda: [m for m in ('scipy.optimize', 'scipy.stats', 'scipy.sparse') if m in sys.modules]\n"
+        "print('import', unloaded())\n"
+        f"for argv in {RUNS!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"        code = evmarket.cli.main([a.format(d={str(tmp_path)!r}) for a in argv])\n"
+        "    print(argv[0], code, unloaded())\n"
     )
-    assert loaded == "[]"
+    assert loaded.splitlines() == [
+        "import []", "gen 0 []", "solve 0 []", "online 0 []", "exp 0 []", "calibrate-incr 0 []",
+    ]
 
 
 @pytest.mark.parametrize("first", ["scipy.optimize", "evmarket"])

@@ -27,6 +27,14 @@ def test_clearing_schedule_validation():
     assert ClearingSchedule.evenly(24, 5).points == (5, 10, 14, 19, 24)
 
 
+@pytest.mark.parametrize("points, bad", [((3.5, 10.0), "3.5"), ((True, 5), "True"), ((2, 4.0), "4.0")])
+def test_clearing_points_must_be_ints(points, bad):
+    # a float point used to pass here and fail later inside run_online, and
+    # True passed as a clearing at 1
+    with pytest.raises(ValueError, match=rf"^clearing point {bad} must be an integer$"):
+        ClearingSchedule(points)
+
+
 def test_evenly_gives_count_distinct_points_after_0():
     for horizon in range(1, 60):
         for count in range(1, horizon + 1):
