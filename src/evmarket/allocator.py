@@ -23,6 +23,9 @@ allocation.  Given a known feasible allocation (the incumbent), solve_exact
 first tries to prove it, or the LP relaxation's point, optimal with an
 exact integer dual bound and runs branch-and-cut only when that fails.  A
 VCG counterfactual fixes one agent's columns to 0 on the market's model.
+Its first rung runs no solve: the session keeps the exact terms of the
+bound from one LP of the whole market, and the market without agent i is
+bounded by those terms less i's own rows (IpModel.rows) and columns.
 """
 
 from __future__ import annotations
@@ -83,6 +86,9 @@ class IpModel:
     phi_index: dict[tuple[str, str], int]
     charge_index: dict[tuple[str, str, int], int]
     columns: dict[str, list[int]]  # each agent's assignment and charge variables
+    # each agent's own rows r0 <= r < r1 (assignment, demand, battery, linking):
+    # contiguous, and no other agent has a column in them
+    rows: dict[str, tuple[int, int]]
     c: np.ndarray  # objective (maximize), integer-valued cents
     # A x <= b, A in CSR form: row r's columns, ascending, are
     # indices[indptr[r]:indptr[r + 1]] (int32) with coefficients data[...] (float64)
@@ -136,7 +142,7 @@ class SolveResult:
     allocation: Allocation
     status: str
     nodes: int = 0
-    proof: str = "milp"  # the rung that ended the solve: "milp", "lp-bound" or "lp-integral"
+    proof: str = "milp"  # the rung that ended the solve: "market-bound", "lp-bound", "lp-integral" or "milp"
 
 
 def build_model(instance: Instance) -> IpModel:
@@ -204,7 +210,9 @@ def build_model(instance: Instance) -> IpModel:
         indptr.append(len(indices))
         b.append(rhs)
 
+    rows: dict[str, tuple[int, int]] = {}
     for req, own in zip(instance.requests, pairs):
+        first = len(b)
         if own:
             add_row({phi: 1.0 for _, _, phi, _ in own}, 1.0)
         for st, acc, phi, pair in own:
@@ -218,6 +226,7 @@ def build_model(instance: Instance) -> IpModel:
             # no charging at a station the EV is not assigned to
             for i in pair:
                 add_row({i: 1.0, phi: -1.0}, 0.0)
+        rows[req.ev.id] = (first, len(b))
     for st in instance.stations:
         for t in range(horizon):
             cell = cells.get((st.id, t), [])
@@ -238,6 +247,7 @@ def build_model(instance: Instance) -> IpModel:
         phi_index=phi_index,
         charge_index=charge_index,
         columns=columns,
+        rows=rows,
         c=np.array(c),
         indptr=np.array(indptr, dtype=np.int32),
         indices=np.array(indices, dtype=np.int32),
@@ -277,6 +287,9 @@ def _allocation_from_x(model: IpModel, x: np.ndarray) -> Allocation:
     return Allocation(assigned=assigned, schedule=schedule, objective=obj)
 
 
+_UNRUN = object()  # a session whose market LP has not run yet
+
+
 class _Session:
     """The one HiGHS instance (scipy's private bindings) that runs every exact
     solve on a model, passed once with its binaries integral and a zero MIP gap.
@@ -294,6 +307,18 @@ class _Session:
         self._set_option("output_flag", False)
         self._set_option("mip_rel_gap", 0.0)
         self.highs.passModel(lp)  # a model that fails to load fails every run()
+        self._market: object = _UNRUN
+
+    def market_terms(self, model: IpModel, time_limit: float) -> Optional[tuple[np.ndarray, np.ndarray]]:
+        """_bound_terms of the LP relaxation at model's own bounds, which the
+        session must hold.  The LP runs on the first call alone, under
+        time_limit; its terms, or None when the LP is not optimal or
+        _bound_terms refuses, serve every later call."""
+        if self._market is _UNRUN:
+            status, _, y, _ = self.run(time_limit, relaxation=True)
+            self._market = (_bound_terms(model, y, model.lb, model.ub)
+                            if status == _core.HighsModelStatus.kOptimal else None)
+        return self._market
 
     def _set_option(self, name: str, value) -> None:
         """HiGHS keeps its old value of an option it refuses, so a refusal raises."""
@@ -331,18 +356,12 @@ def _column_sums(start: np.ndarray, entries: np.ndarray) -> np.ndarray:
     return running[start[1:]] - running[start[:-1]]
 
 
-def _dual_bound(model: IpModel, y: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> Optional[int]:
-    """Exact integer upper bound on the optimum within bounds lb, ub from row multipliers y.
-
-    For any y >= 0 and any feasible x, c.x <= b.y + (c - A^T y).x, and each
-    term of the second product is at most its best value over the
-    variable's box (Neumaier & Shcherbina, "Safe bounds in linear and
-    mixed-integer linear programming", Math. Prog. 2004).  y is clipped at 0
-    and rounded down onto a grid of 1/DUAL_GRID, so with integer c, A, b and
-    bounds the bound is computed in int64 and floored exactly.  None when an
-    unbounded variable has a reduced cost pointing at its open end, or when
-    a partial sum could overflow int64.
-    """
+def _bound_terms(model: IpModel, y: np.ndarray, lb: np.ndarray,
+                 ub: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """The exact int64 terms of _dual_bound's sum, before the division by
+    DUAL_GRID: per row b_r * floor(y_r * DUAL_GRID), and per column its
+    scaled reduced cost times the end of its box that maximizes the
+    product.  None where _dual_bound refuses."""
     lo_open, hi_open = ~np.isfinite(lb), ~np.isfinite(ub)
     lo, hi = np.where(lo_open, 0.0, lb), np.where(hi_open, 0.0, ub)
     if not model.integral or any(not np.array_equal(v, np.trunc(v)) for v in (lo, hi)):
@@ -359,8 +378,40 @@ def _dual_bound(model: IpModel, y: np.ndarray, lb: np.ndarray, ub: np.ndarray) -
     reduced = DUAL_GRID * model.c.astype(np.int64) - _column_sums(start, value.astype(np.int64) * yq[row])
     if np.any((reduced > 0) & hi_open) or np.any((reduced < 0) & lo_open):
         return None
-    best = np.where(reduced > 0, hi, lo).astype(np.int64)
-    return (int(model.b.astype(np.int64) @ yq) + int(reduced @ best)) // DUAL_GRID
+    return model.b.astype(np.int64) * yq, reduced * np.where(reduced > 0, hi, lo).astype(np.int64)
+
+
+def _dual_bound(model: IpModel, y: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> Optional[int]:
+    """Exact integer upper bound on the optimum within bounds lb, ub from row multipliers y.
+
+    For any y >= 0 and any feasible x, c.x <= b.y + (c - A^T y).x, and each
+    term of the second product is at most its best value over the
+    variable's box (Neumaier & Shcherbina, "Safe bounds in linear and
+    mixed-integer linear programming", Math. Prog. 2004).  y is clipped at 0
+    and rounded down onto a grid of 1/DUAL_GRID, so with integer c, A, b and
+    bounds the bound is computed in int64 and floored exactly.  None when an
+    unbounded variable has a reduced cost pointing at its open end, or when
+    a partial sum could overflow int64.
+    """
+    terms = _bound_terms(model, y, lb, ub)
+    return None if terms is None else _bound_without(model, terms, None)
+
+
+def _bound_without(model: IpModel, terms: tuple[np.ndarray, np.ndarray], aid: Optional[str]) -> int:
+    """The exact bound that _bound_terms' terms, taken at the model's own
+    bounds, give the market without agent aid (the whole market for None).
+
+    With aid's columns fixed to 0, dropping aid's own rows relaxes the
+    market, and no other column has an entry in them, so every other
+    column's reduced cost stays as it was.  The bound of that relaxation
+    from the same y is therefore the market's sum less aid's row terms and
+    less aid's column terms, which its box [0, 0] sets to 0."""
+    row, col = terms
+    total = int(row.sum()) + int(col.sum())
+    if aid is not None:
+        r0, r1 = model.rows[aid]
+        total -= int(row[r0:r1].sum()) + int(col[model.columns[aid]].sum())
+    return total // DUAL_GRID
 
 
 def _is_model_point(model: IpModel, allocation: Allocation, lb: np.ndarray, ub: np.ndarray) -> bool:
@@ -378,6 +429,20 @@ def _is_model_point(model: IpModel, allocation: Allocation, lb: np.ndarray, ub: 
     if not (np.all(lb <= x) and np.all(x <= ub)):
         return False
     return not validate_allocation(model.instance, allocation)
+
+
+def _prove_by_market_bound(model: IpModel, lb: np.ndarray, ub: np.ndarray, incumbent: Allocation,
+                           without: Optional[str], time_limit: float) -> Optional[Allocation]:
+    """The incumbent, once it is a point of the model within lb, ub and its
+    exact welfare equals the market LP's exact bound less without's own rows
+    and columns (_bound_without); None otherwise."""
+    terms = model._session.market_terms(model, time_limit)
+    if terms is None or not _is_model_point(model, incumbent, lb, ub):
+        return None
+    welfare = evaluate_objective(model.instance, incumbent.assigned, incumbent.schedule)
+    if welfare != _bound_without(model, terms, without):
+        return None
+    return Allocation(incumbent.assigned, incumbent.schedule, welfare)
 
 
 def _prove_by_lp(model: IpModel, lb: np.ndarray, ub: np.ndarray, incumbent: Allocation,
@@ -413,29 +478,41 @@ def solve_exact(model: IpModel, time_limit: float = DEFAULT_TIME_LIMIT,
 
     without names an agent whose columns are fixed to 0 for this solve: a
     VCG counterfactual solves the market without its winner on this model,
-    with the priced allocation less the winner as incumbent.  Given an
-    incumbent, the LP relaxation runs first and branch-and-cut only when
-    _prove_by_lp proves neither the incumbent nor the LP point; both share
-    time_limit.  Without one, the solve is branch-and-cut alone.  A
-    time_limit that is not a number >= 0 raises ValueError.
+    with the priced allocation less the winner as incumbent.  There,
+    _prove_by_market_bound first tries the incumbent against the exact
+    bound of the market's own LP relaxation, which runs once per session, in
+    its first counterfactual.  Failing that, and for an incumbent without
+    `without`, the LP relaxation within the solve's bounds runs, and
+    branch-and-cut only when _prove_by_lp proves neither the incumbent nor
+    the LP point; all of them share time_limit.  Without an incumbent, the
+    solve is branch-and-cut alone.  A time_limit that is not a number >= 0
+    raises ValueError.
     """
     if not time_limit >= 0:  # NaN included, which HiGHS would take as a limit
         raise ValueError(f"time_limit must be a number of seconds >= 0, got {time_limit}")
     start = time.monotonic()
+
+    def left() -> float:
+        return max(0.0, time_limit - (time.monotonic() - start))
+
     cols = np.array(model.columns[without] if without is not None else [], dtype=np.int32)
     lb, ub = model.lb.copy(), model.ub.copy()
     lb[cols] = ub[cols] = 0.0
     if model.n_vars == 0:
         return SolveResult(_allocation_from_x(model, lb), STATUS_OPTIMAL)
     model._session = model._session or _Session(model)
+    if incumbent is not None and without is not None:
+        proven = _prove_by_market_bound(model, lb, ub, incumbent, without, time_limit)
+        if proven is not None:
+            return SolveResult(proven, STATUS_OPTIMAL, proof="market-bound")
     model._session.set_bounds(cols, lb[cols], ub[cols])
     try:
         if incumbent is not None:
-            proven = _prove_by_lp(model, lb, ub, incumbent, time_limit)
+            proven = _prove_by_lp(model, lb, ub, incumbent, left())
             if proven is not None:
                 return SolveResult(proven[0], STATUS_OPTIMAL, proof=proven[1])
-            time_limit = max(0.0, time_limit - (time.monotonic() - start))
-        status, x, _, info = model._session.run(time_limit, relaxation=False)
+        status, x, _, info = model._session.run(left() if incumbent is not None else time_limit,
+                                                relaxation=False)
     finally:
         model._session.set_bounds(cols, model.lb[cols], model.ub[cols])
     if status == _core.HighsModelStatus.kInfeasible:

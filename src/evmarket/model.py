@@ -21,10 +21,10 @@ MONEY_SCALE = 100
 
 
 def non_integer_field(obj) -> Optional[str]:
-    """The first field of dataclass obj declared int, Money or Energy whose
-    value is not an int (a bool is not one); None when every one is."""
-    return next((f.name for f in fields(obj)
-                 if f.type in ("int", "Money", "Energy") and type(getattr(obj, f.name)) is not int), None)
+    """The first init field of dataclass obj declared int, Money or Energy
+    whose value is not an int (a bool is not one); None when every one is."""
+    return next((f.name for f in fields(obj) if f.init
+                 and f.type in ("int", "Money", "Energy") and type(getattr(obj, f.name)) is not int), None)
 
 
 @dataclass(frozen=True)
@@ -176,7 +176,8 @@ class Instance:
     count towards each cell's imbalance, and nothing here can move them.
     Station ids and EV ids must each be unique; station() and request()
     look them up in indexes built at construction, and committed_load()
-    in the per-cell load derived from committed.
+    in the per-cell load derived from committed.  imbalance_cost reads that
+    load and the total contracted demand, also derived once.
     """
 
     time_grid: TimeGrid
@@ -188,6 +189,7 @@ class Instance:
     _stations_by_id: dict[str, Station] = field(init=False, repr=False, compare=False)
     _requests_by_id: dict[str, EvRequest] = field(init=False, repr=False, compare=False)
     _committed_load: Counter[tuple[str, int]] = field(init=False, repr=False, compare=False)
+    _total_demand: int = field(init=False, repr=False, compare=False)  # over every cell
 
     def __post_init__(self) -> None:
         if name := non_integer_field(self):
@@ -214,6 +216,8 @@ class Instance:
         object.__setattr__(self, "_stations_by_id", stations)
         object.__setattr__(self, "_requests_by_id", requests)
         object.__setattr__(self, "_committed_load", load)
+        object.__setattr__(self, "_total_demand",
+                           sum(s.demand_at(t) for s in self.stations for t in range(horizon)))
 
     @property
     def evs(self) -> tuple[EvType, ...]:
@@ -268,10 +272,18 @@ class PricingOutcome:
 def imbalance_cost(instance: Instance, schedule: AbstractSet[tuple[str, str, int]]) -> Money:
     """Penalty for deviating from the contracted demand profile: the sum over
     every (station, time) cell of |actual load - expected| * unit cost, where
-    the actual load counts the schedule and the instance's committed slots."""
-    loads = dict(instance._committed_load)
-    for _, sid, t in schedule:
-        loads[(sid, t)] = loads.get((sid, t), 0) + 1
-    return instance.imbalance_unit_cost * sum(
-        abs(loads.get((s.id, t), 0) - s.demand_at(t))
-        for s in instance.stations for t in range(instance.time_grid.horizon_len))
+    the actual load counts the schedule and the instance's committed slots.
+
+    A cell without load adds its demand, which is >= 0, so the sum is the
+    total demand plus |load - demand| - demand over the loaded cells alone;
+    a cell outside the instance's stations or [0, horizon) adds nothing."""
+    loads = Counter(instance._committed_load)
+    loads.update((sid, t) for _, sid, t in schedule)
+    horizon = instance.time_grid.horizon_len
+    total = instance._total_demand
+    for (sid, t), load in loads.items():
+        station = instance._stations_by_id.get(sid)
+        if station is not None and 0 <= t < horizon:
+            demand = station.demand_at(t)
+            total += abs(load - demand) - demand
+    return instance.imbalance_unit_cost * total

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from evmarket import (
     validate_allocation,
 )
 from evmarket.allocator import (
-    DUAL_GRID, Infeasible, IpModel, _core, _dual_bound, _Session, evaluate_objective,
+    DUAL_GRID, Infeasible, IpModel, _bound_terms, _bound_without, _core, _dual_bound, _Session,
+    evaluate_objective,
 )
 from evmarket.experiments import DESK, DESK_CONTESTED
 from evmarket.transport import remaining_request
@@ -161,9 +163,10 @@ def _proofs_and_payments(half_cent: bool):
 
 def test_fractional_objective_skips_the_dual_bound():
     # the exact dual bound needs integral c, b and A; a fractional c sends
-    # every counterfactual to branch-and-cut, which prices the same
+    # every counterfactual past the market's bound and its own LP to
+    # branch-and-cut, which prices the same
     proofs, payments = _proofs_and_payments(half_cent=False)
-    assert proofs == ["lp-bound", "lp-bound"]
+    assert proofs == ["market-bound", "market-bound"]
     assert _proofs_and_payments(half_cent=True) == (["milp", "milp"], payments)
 
 
@@ -474,7 +477,7 @@ def _empty_column_model():
     """Two rows over five binaries, columns 1 and 4 in no row:
     x0 + x2 <= 1 and 2 x2 - x3 <= 1."""
     return IpModel(
-        instance=None, phi_index={}, charge_index={}, columns={},
+        instance=None, phi_index={}, charge_index={}, columns={}, rows={},
         c=np.array([3.0, 5.0, 4.0, -2.0, 7.0]),
         indptr=np.array([0, 2, 4], dtype=np.int32), indices=np.array([0, 2, 2, 3], dtype=np.int32),
         data=np.array([1.0, 1.0, 2.0, -1.0]), b=np.array([1.0, 1.0]),
@@ -606,7 +609,98 @@ def test_proof_names_the_rung():
         return result
 
     price_vcg(inst, main.allocation, solver=recording)
-    assert len(rungs) == 25 and set(rungs) == {("lp-bound", 0)}
+    # the bound of the market's LP, less each winner's own rows and columns,
+    # proves all but one counterfactual; that one's own LP proves it
+    assert Counter(rungs) == {("market-bound", 0): 24, ("lp-bound", 0): 1}
+
+
+def _unservable_market():
+    """tiny1 with a3 between a1 and a2: a3 values every station at 0, so it
+    has no feasible station, no column and no row."""
+    return flat_instance(
+        [make_station("L1"), make_station("L2")],
+        [make_ev("a1", demand=2, valuation=500), make_ev("a3", demand=1, valuation=0),
+         make_ev("a2", demand=3, valuation=400)],
+    )
+
+
+@pytest.mark.parametrize("case", ["desk30", "desk30-committed", "contested-0", "unservable"])
+def test_own_rows_are_the_rows_of_the_agents_columns_alone(case):
+    # rows[aid] is exactly the set of rows whose every column is aid's, once
+    # each cell's capacity row is set aside: where only aid may charge in a
+    # cell, that row holds aid's column alone, yet it is the cell's row.  The
+    # agents' rows come first, one contiguous block per request, in order.
+    model = build_model({
+        "desk30": lambda: generate(DESK, 1000),
+        "desk30-committed": _desk30_clearing,
+        "contested-0": lambda: generate(DESK_CONTESTED, 0),
+        "unservable": _unservable_market,
+    }[case]())
+    owner = {i: aid for aid, cols in model.columns.items() for i in cols}
+    cells = {}
+    for (_, sid, t), i in model.charge_index.items():
+        cells.setdefault((sid, t), set()).add(i)
+    blocks = list(model.rows.values())
+    assert list(model.rows) == [req.ev.id for req in model.instance.requests]
+    assert blocks[0][0] == 0 and all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+    for r in range(len(model.b)):
+        cols = {int(i) for i in model.indices[model.indptr[r]:model.indptr[r + 1]]}
+        owners = {owner.get(i) for i in cols}
+        mine = [aid for aid, (r0, r1) in model.rows.items() if r0 <= r < r1]
+        if mine:
+            assert cols and owners == set(mine), r
+        elif len(owners) == 1 and None not in owners:
+            assert cols in cells.values(), r
+    if case == "unservable":
+        assert model.columns["a3"] == [] and model.rows["a3"] == (model.rows["a1"][1],) * 2
+
+
+@pytest.mark.parametrize("case", MATRIX_CASES[:-1])
+def test_bound_without_an_agent_drops_its_rows_and_columns(case):
+    # the market's terms less an agent's own row and column terms are the
+    # bound that the same multipliers, zero on the agent's rows, give the
+    # market without the agent; for LP duals and for random multipliers on
+    # the agents' rows, whose column terms are far from 0
+    model = _matrix_case(case)
+    rng = np.random.default_rng(2)
+    own = np.zeros(len(model.b), dtype=bool)
+    for r0, r1 in model.rows.values():
+        own[r0:r1] = True
+    ys = [_lp_duals(model), *(np.where(own, rng.exponential(scale, len(own)), 0.0) for scale in (0.1, 1e3))]
+    for y in ys:
+        terms = _bound_terms(model, y, model.lb, model.ub)
+        assert terms is not None
+        assert _bound_without(model, terms, None) == _dual_bound(model, y, model.lb, model.ub)
+        for aid, (r0, r1) in model.rows.items():
+            lb, ub = model.lb.copy(), model.ub.copy()
+            lb[model.columns[aid]] = ub[model.columns[aid]] = 0.0
+            y_without = y.copy()
+            y_without[r0:r1] = 0.0
+            assert _bound_without(model, terms, aid) == _dual_bound(model, y_without, lb, ub), aid
+
+
+def test_market_bound_below_the_incumbent_proves_nothing(monkeypatch):
+    # the certificate is the equality of the incumbent's welfare and the
+    # bound: a "bound" below a feasible point's welfare is no bound, and
+    # every counterfactual goes on down the ladder, pricing the same
+    proofs, payments = _proofs_and_payments(half_cent=False)
+    real = evmarket.allocator._bound_without
+    monkeypatch.setattr(evmarket.allocator, "_bound_without", lambda *args: real(*args) - 1)
+    assert _proofs_and_payments(half_cent=False) == (["milp", "milp"], payments)
+
+
+def test_market_bound_refuses_an_incumbent_that_breaks_a_rule(tiny2):
+    # without a1 the market's bound is 400, a2 served; an incumbent worth
+    # 400 that gives a2 one of its two slots is no point of the market
+    model = build_model(tiny2)
+    solve_exact(model)
+    broken = Allocation({"a1": None, "a2": "L1"}, frozenset({("a2", "L1", 0)}), 400)
+    assert evaluate_objective(tiny2, broken.assigned, broken.schedule) == 400
+    assert [v.code for v in validate_allocation(tiny2, broken)] == ["min-charge"]
+    result = solve_exact(model, incumbent=broken, without="a1")
+    assert _bound_without(model, model._session.market_terms(model, 7.0), "a1") == 400
+    assert result.proof != "market-bound" and result.allocation.objective == 400
+    assert validate_allocation(tiny2, result.allocation) == []
 
 
 def test_integral_lp_point_below_bound_goes_to_milp(monkeypatch):

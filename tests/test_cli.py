@@ -157,9 +157,10 @@ def test_time_limit_reaches_every_solve(tmp_path, tiny1_file, monkeypatch):
     assert len(limits) == 8  # one allocation solve per instance of the family
     assert set(limits) == {7.0}
     # every HiGHS run: branch-and-cut for each allocation (solve, the online
-    # clearing, two in calibrate-incr) and the LP that proves each VCG
-    # counterfactual (two in solve, two in online)
-    solve_runs = [("milp", 7.0), ("lp", 7.0), ("lp", 7.0)]
+    # clearing, two in calibrate-incr) and the one market LP of each priced
+    # model, run in its first counterfactual, whose bound proves both
+    # counterfactuals without a run of their own
+    solve_runs = [("milp", 7.0), ("lp", 7.0)]
     assert runs == solve_runs * 2 + [("milp", 7.0)] * 2
 
 

@@ -1,4 +1,6 @@
 import dataclasses
+import random
+from collections import Counter
 
 import pytest
 
@@ -16,6 +18,39 @@ def test_money_scale():
 def test_imbalance_single_cell():
     inst = flat_instance([make_station("L1", dem=(2,))], [], imbalance_unit_cost=100, horizon=1)
     assert imbalance_cost(inst, frozenset({("a1", "L1", 0)})) == 100  # |1 - 2| * 1.00
+
+
+def _every_cell_imbalance(instance, schedule):
+    """imbalance_cost summed over every (station, time) cell of the
+    instance, loaded or not: the reference for the loaded-cell sum."""
+    loads = Counter((sid, t) for _, sid, t in instance.committed)
+    loads.update((sid, t) for _, sid, t in schedule)
+    return instance.imbalance_unit_cost * sum(
+        abs(loads[(s.id, t)] - s.demand_at(t))
+        for s in instance.stations for t in range(instance.time_grid.horizon_len))
+
+
+def test_imbalance_over_loaded_cells_matches_every_cell():
+    # random demand profiles, some shorter and some longer than the horizon,
+    # committed load, and schedules that also name an unknown station and
+    # time points outside [0, horizon), which add nothing
+    rng = random.Random(0)
+    for _ in range(300):
+        horizon = rng.randint(1, 6)
+        stations = [make_station(f"L{k}", slots=rng.randint(1, 3),
+                                 dem=[rng.randint(0, 3) for _ in range(rng.randint(0, horizon + 2))])
+                    for k in range(rng.randint(1, 3))]
+        inst = flat_instance(stations, [], imbalance_unit_cost=rng.choice([1, 5, 60]), horizon=horizon)
+        committed = set()
+        for st in stations:
+            for t in range(horizon):
+                committed |= {(f"z{k}", st.id, t) for k in range(rng.randint(0, st.slots))}
+        inst = dataclasses.replace(inst, committed=frozenset(committed))
+        sids = [st.id for st in stations] + ["X"]
+        schedule = frozenset((f"a{rng.randint(0, 4)}", rng.choice(sids), rng.randint(-2, horizon + 1))
+                             for _ in range(rng.randint(0, 12)))
+        for sched in (schedule, frozenset()):
+            assert imbalance_cost(inst, sched) == _every_cell_imbalance(inst, sched)
 
 
 def test_imbalance_empty_schedule():

@@ -1,11 +1,14 @@
 import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from evmarket import build_model, calibrate_incr, generate, price, price_coop, price_vcg, solve_exact
-from evmarket.allocator import STATUS_OPTIMAL, STATUS_TIME_LIMITED, SolveResult, _Session
+from evmarket import (
+    Allocation, build_model, calibrate_incr, generate, price, price_coop, price_vcg, solve_exact,
+)
+from evmarket.allocator import STATUS_OPTIMAL, STATUS_TIME_LIMITED, SolveResult, _Session, evaluate_objective
 from evmarket.experiments import DESK, DESK_CONTESTED
 from evmarket.pricing import CounterfactualNotOptimal, NoBreakeven, _coop_price, markup_grid
 
@@ -254,23 +257,71 @@ def _rebuild_and_milp(model, time_limit=None, incumbent=None, without=None):
     return SolveResult(milp_allocation(build_model(drop_agent(model.instance, without))), STATUS_OPTIMAL)
 
 
-def _ladder_matches_milp(instance):
+def _ladder_proofs(instance):
+    """The proof of each VCG counterfactual of price_vcg, once its payments
+    match those of _rebuild_and_milp, which proves every counterfactual by
+    branch-and-cut alone, and the session holds its model's bounds again."""
     alloc = solve_exact(build_model(instance)).allocation
-    return price_vcg(instance, alloc) == price_vcg(instance, alloc, solver=_rebuild_and_milp)
+    proofs, models = [], []
+
+    def recording(model, incumbent=None, without=None):
+        result = solve_exact(model, incumbent=incumbent, without=without)
+        proofs.append(result.proof)
+        models.append(model)
+        return result
+
+    assert price_vcg(instance, alloc, solver=recording) == price_vcg(instance, alloc, solver=_rebuild_and_milp)
+    if models:
+        _assert_bounds_as_built(models[0], models[0].lb, models[0].ub)
+    return proofs
+
+
+LADDER_MARKETS = [*((DESK, s) for s in range(1000, 1010)), *((DESK_CONTESTED, s) for s in range(10)),
+                  (dataclasses.replace(DESK, n_evs=60), 2)]
 
 
 @pytest.mark.parametrize(
-    "params, seed",
-    [(DESK, 1000), (DESK, 1001), *((DESK_CONTESTED, s) for s in range(5)),
-     (dataclasses.replace(DESK, n_evs=60), 2)],
-    ids=["desk30-1000", "desk30-1001", *(f"contested-{s}" for s in range(5)), "desk60-2"],
+    "params, seed", LADDER_MARKETS,
+    ids=[f"{'contested' if p is DESK_CONTESTED else f'desk{p.n_evs}'}-{s}" for p, s in LADDER_MARKETS],
 )
 def test_vcg_ladder_matches_milp(params, seed):
-    assert _ladder_matches_milp(generate(params, seed))
+    # the market's bound certifies counterfactuals in every desk market, and
+    # every contested market sends some down the ladder
+    proofs = _ladder_proofs(generate(params, seed))
+    if params is DESK_CONTESTED:
+        assert set(proofs) - {"market-bound"}
+    else:
+        assert "market-bound" in proofs
 
 
 def test_vcg_ladder_matches_milp_random_flat():
-    assert [s for s in range(200) if not _ladder_matches_milp(random_flat_instance(s))] == []
+    proofs = Counter(p for s in range(200) for p in _ladder_proofs(random_flat_instance(s)))
+    assert proofs["market-bound"] and sum(proofs.values()) > proofs["market-bound"]
+
+
+def test_market_lp_stopped_by_the_time_limit_certifies_nothing():
+    # the market LP runs in the first counterfactual and within its time
+    # limit: at 0 s it stops, that counterfactual is not proven, and the
+    # session never certifies by the market's bound; the payments stay the same
+    inst = generate(DESK, 1000)
+    model = build_model(inst)
+    main = solve_exact(model)
+    winner = min(aid for aid, sid in main.allocation.assigned.items() if sid)
+    assigned = {**main.allocation.assigned, winner: None}
+    schedule = frozenset(tr for tr in main.allocation.schedule if tr[0] != winner)
+    stopped = solve_exact(model, time_limit=0.0, without=winner,
+                          incumbent=Allocation(assigned, schedule, evaluate_objective(inst, assigned, schedule)))
+    assert stopped.status == STATUS_TIME_LIMITED
+    assert model._session.market_terms(model, 7.0) is None
+    proofs = []
+
+    def recording(model, incumbent=None, without=None):
+        result = solve_exact(model, incumbent=incumbent, without=without)
+        proofs.append(result.proof)
+        return result
+
+    assert price("vcg", model, main, 0.0, solver=recording) == price_vcg(inst, main.allocation)
+    assert len(proofs) == 25 and "market-bound" not in proofs
 
 
 def _assert_bounds_as_built(model, lb, ub):
@@ -309,23 +360,24 @@ def test_model_after_pricing_is_the_parent(params, seed):
     _assert_bounds_as_built(model, lb, ub)
 
 
-@pytest.mark.parametrize("params, seed, failing", [(DESK, 1000, True), (DESK_CONTESTED, 0, False)],
+@pytest.mark.parametrize("params, seed, failing, nth", [(DESK, 1000, True, 1), (DESK_CONTESTED, 0, False, 3)],
                          ids=["lp-run", "branch-and-cut-run"])
-def test_raising_counterfactual_restores_bounds(params, seed, failing, monkeypatch):
-    # the third LP run (desk-30) or branch-and-cut run (contested) raises
+def test_raising_counterfactual_restores_bounds(params, seed, failing, nth, monkeypatch):
+    # the market LP (desk-30, whose bound proves every counterfactual) or the
+    # third branch-and-cut run (contested) raises
     inst = generate(params, seed)
     model = build_model(inst)
     main = solve_exact(model)
     lb, ub = model.lb.copy(), model.ub.copy()
     real_run, runs = _Session.run, []
 
-    def fails_third(self, time_limit, relaxation):
+    def fails_nth(self, time_limit, relaxation):
         runs.append(relaxation)
-        if runs.count(failing) == 3:
+        if runs.count(failing) == nth:
             raise RuntimeError("HiGHS failed")
         return real_run(self, time_limit, relaxation)
 
-    monkeypatch.setattr(_Session, "run", fails_third)
+    monkeypatch.setattr(_Session, "run", fails_nth)
     with pytest.raises(RuntimeError, match="HiGHS failed"):
         price("vcg", model, main, 0.0)
     assert runs[-1] == failing
