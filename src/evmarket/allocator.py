@@ -19,17 +19,24 @@ with a zero MIP gap.  The solution is re-evaluated in exact integer arithmetic
 (evaluate_objective, whose imbalance term is model.imbalance_cost) so that
 reported optima are bit-reproducible and comparable across counterfactual
 solves, and checked with validate_allocation, the rules that judge any
-allocation.  Given a known feasible allocation (the incumbent), solve_exact
-first tries to prove it, or the LP relaxation's point, optimal with an
-exact integer dual bound and runs branch-and-cut only when that fails.  A
-VCG counterfactual fixes one agent's columns to 0 on the market's model.
-Its first rung runs no solve: the session keeps the exact terms of the
-bound from one LP of the whole market, and the market without agent i is
-bounded by those terms less i's own rows (IpModel.rows) and columns.
+allocation.  A solve without an incumbent, or a session's first VCG
+counterfactual, runs the market's LP relaxation once per session, on a
+scratch HiGHS freed before any branch-and-cut, and the session keeps the
+exact terms of its dual bound, whether its binaries came out integral, and
+its basis.  Where they did, the root LP proves the market, so
+the market's branch-and-cut runs without the feasibility jump heuristic,
+which HiGHS would otherwise run before the root; everywhere else it runs.
+Given a known feasible allocation (the incumbent), solve_exact first tries
+to prove it, or the LP relaxation's point, optimal with an exact integer
+dual bound and runs branch-and-cut only when that fails.  A VCG
+counterfactual fixes one agent's columns to 0 on the market's model.  Its
+first rung runs no solve: the market without agent i is bounded by the
+market LP's terms less i's own rows (IpModel.rows) and columns.
 """
 
 from __future__ import annotations
 
+import ctypes
 import importlib.machinery
 import importlib.util
 import os
@@ -67,6 +74,11 @@ def _load_highs() -> ModuleType:
 
 
 _core = _load_highs()
+
+try:
+    _malloc_trim = ctypes.CDLL(None).malloc_trim  # glibc's; other C libraries have none
+except (AttributeError, OSError, TypeError):
+    _malloc_trim = None
 
 STATUS_OPTIMAL = "optimal"
 STATUS_TIME_LIMITED = "feasible_time_limited"
@@ -292,7 +304,8 @@ _UNRUN = object()  # a session whose market LP has not run yet
 
 class _Session:
     """The one HiGHS instance (scipy's private bindings) that runs every exact
-    solve on a model, passed once with its binaries integral and a zero MIP gap.
+    solve on a model but the market LP, passed once with its binaries
+    integral and a zero MIP gap.
     Changing column bounds keeps HiGHS's basis, so an LP run warm-starts from the last."""
 
     def __init__(self, model: IpModel):
@@ -308,16 +321,30 @@ class _Session:
         self._set_option("mip_rel_gap", 0.0)
         self.highs.passModel(lp)  # a model that fails to load fails every run()
         self._market: object = _UNRUN
+        self.integral = False  # the market LP was optimal with integral binaries
 
     def market_terms(self, model: IpModel, time_limit: float) -> Optional[tuple[np.ndarray, np.ndarray]]:
-        """_bound_terms of the LP relaxation at model's own bounds, which the
-        session must hold.  The LP runs on the first call alone, under
-        time_limit; its terms, or None when the LP is not optimal or
-        _bound_terms refuses, serve every later call."""
+        """_bound_terms of the LP relaxation at model's own bounds.  The LP
+        runs on the first call alone, under time_limit, on a scratch session
+        freed on return: HiGHS keeps an LP's state through clearSolver, and
+        branch-and-cut on this session would carry it.  Its terms, or None
+        when the LP is not optimal or _bound_terms refuses, serve every later
+        call; integral records whether its binaries are integral, and its
+        basis is handed to this session, so the next LP here starts warm."""
         if self._market is _UNRUN:
-            status, _, y, _ = self.run(time_limit, relaxation=True)
-            self._market = (_bound_terms(model, y, model.lb, model.ub)
-                            if status == _core.HighsModelStatus.kOptimal else None)
+            scratch = _Session(model)
+            status, x, y, _ = scratch.run(time_limit, relaxation=True)
+            optimal = status == _core.HighsModelStatus.kOptimal
+            self._market = _bound_terms(model, y, model.lb, model.ub) if optimal else None
+            self.integral = optimal and _integral_binaries(model, x)
+            basis = scratch.highs.getBasis()
+            if basis.valid:
+                self.highs.setBasis(basis)
+            del scratch
+            if _malloc_trim is not None:
+                # glibc keeps the freed LP's pages mapped, and branch-and-cut's
+                # own would stack on them: +12 MB peak on a 300 x 16 market
+                _malloc_trim(0)
         return self._market
 
     def _set_option(self, name: str, value) -> None:
@@ -445,6 +472,12 @@ def _prove_by_market_bound(model: IpModel, lb: np.ndarray, ub: np.ndarray, incum
     return Allocation(incumbent.assigned, incumbent.schedule, welfare)
 
 
+def _integral_binaries(model: IpModel, x: np.ndarray) -> bool:
+    """Every binary of x lies within 1e-6 of 0 or 1."""
+    binary = x[model.is_binary]
+    return bool(np.all(np.abs(binary - np.round(binary)) <= 1e-6))
+
+
 def _prove_by_lp(model: IpModel, lb: np.ndarray, ub: np.ndarray, incumbent: Allocation,
                  time_limit: float) -> Optional[tuple[Allocation, str]]:
     """The incumbent ("lp-bound") or the LP relaxation's point when its
@@ -458,8 +491,7 @@ def _prove_by_lp(model: IpModel, lb: np.ndarray, ub: np.ndarray, incumbent: Allo
         welfare = evaluate_objective(model.instance, incumbent.assigned, incumbent.schedule)
         if welfare == bound:
             return Allocation(incumbent.assigned, incumbent.schedule, welfare), "lp-bound"
-    binary = x[model.is_binary]
-    if np.all(np.abs(binary - np.round(binary)) <= 1e-6):
+    if _integral_binaries(model, x):
         point = _allocation_from_x(model, np.round(x))
         if point.objective == bound and _is_model_point(model, point, lb, ub):
             return point, "lp-integral"
@@ -480,13 +512,15 @@ def solve_exact(model: IpModel, time_limit: float = DEFAULT_TIME_LIMIT,
     VCG counterfactual solves the market without its winner on this model,
     with the priced allocation less the winner as incumbent.  There,
     _prove_by_market_bound first tries the incumbent against the exact
-    bound of the market's own LP relaxation, which runs once per session, in
-    its first counterfactual.  Failing that, and for an incumbent without
-    `without`, the LP relaxation within the solve's bounds runs, and
-    branch-and-cut only when _prove_by_lp proves neither the incumbent nor
-    the LP point; all of them share time_limit.  Without an incumbent, the
-    solve is branch-and-cut alone.  A time_limit that is not a number >= 0
-    raises ValueError.
+    bound of the market's own LP relaxation (_Session.market_terms).
+    Failing that, and for an incumbent without `without`, the LP relaxation
+    within the solve's bounds runs, and branch-and-cut only when
+    _prove_by_lp proves neither the incumbent nor the LP point.  Without an
+    incumbent, the market LP runs first, once per session, so that pricing
+    on this model runs none, and then branch-and-cut; feasibility jump is
+    off for branch-and-cut of the whole market after an integral market LP
+    and on for every other.  All runs of a solve share time_limit.  A
+    time_limit that is not a number >= 0 raises ValueError.
     """
     if not time_limit >= 0:  # NaN included, which HiGHS would take as a limit
         raise ValueError(f"time_limit must be a number of seconds >= 0, got {time_limit}")
@@ -500,21 +534,25 @@ def solve_exact(model: IpModel, time_limit: float = DEFAULT_TIME_LIMIT,
     lb[cols] = ub[cols] = 0.0
     if model.n_vars == 0:
         return SolveResult(_allocation_from_x(model, lb), STATUS_OPTIMAL)
-    model._session = model._session or _Session(model)
-    if incumbent is not None and without is not None:
+    session = model._session = model._session or _Session(model)
+    if incumbent is None:
+        session.market_terms(model, time_limit)
+    elif without is not None:
         proven = _prove_by_market_bound(model, lb, ub, incumbent, without, time_limit)
         if proven is not None:
             return SolveResult(proven, STATUS_OPTIMAL, proof="market-bound")
-    model._session.set_bounds(cols, lb[cols], ub[cols])
+    session.set_bounds(cols, lb[cols], ub[cols])
     try:
         if incumbent is not None:
             proven = _prove_by_lp(model, lb, ub, incumbent, left())
             if proven is not None:
                 return SolveResult(proven[0], STATUS_OPTIMAL, proof=proven[1])
-        status, x, _, info = model._session.run(left() if incumbent is not None else time_limit,
-                                                relaxation=False)
+        # after an integral market LP the root proves the market alone, and
+        # feasibility jump only delays it; every other search keeps it
+        session._set_option("mip_heuristic_run_feasibility_jump", not (without is None and session.integral))
+        status, x, _, info = session.run(left(), relaxation=False)
     finally:
-        model._session.set_bounds(cols, model.lb[cols], model.ub[cols])
+        session.set_bounds(cols, model.lb[cols], model.ub[cols])
     if status == _core.HighsModelStatus.kInfeasible:
         raise Infeasible("model infeasible")
     if status == _core.HighsModelStatus.kTimeLimit:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field, fields
-from typing import AbstractSet, Mapping, Optional
+from typing import AbstractSet, Iterable, Mapping, Optional
 
 Money = int  # fixed-point, MONEY_SCALE units per currency unit
 Energy = int  # whole energy units
@@ -269,6 +269,14 @@ class PricingOutcome:
         return cls(payments, utilities, frozenset(charged), elec, imbalance_cost(instance, schedule))
 
 
+def cell_loads(instance: Instance, schedule: AbstractSet[tuple[str, str, int]]) -> Counter[tuple[str, int]]:
+    """Chargers taken at each (station, time) cell: the instance's committed
+    slots plus the schedule's."""
+    loads = Counter(instance._committed_load)
+    loads.update((sid, t) for _, sid, t in schedule)
+    return loads
+
+
 def imbalance_cost(instance: Instance, schedule: AbstractSet[tuple[str, str, int]]) -> Money:
     """Penalty for deviating from the contracted demand profile: the sum over
     every (station, time) cell of |actual load - expected| * unit cost, where
@@ -277,13 +285,38 @@ def imbalance_cost(instance: Instance, schedule: AbstractSet[tuple[str, str, int
     A cell without load adds its demand, which is >= 0, so the sum is the
     total demand plus |load - demand| - demand over the loaded cells alone;
     a cell outside the instance's stations or [0, horizon) adds nothing."""
-    loads = Counter(instance._committed_load)
-    loads.update((sid, t) for _, sid, t in schedule)
     horizon = instance.time_grid.horizon_len
     total = instance._total_demand
-    for (sid, t), load in loads.items():
+    for (sid, t), load in cell_loads(instance, schedule).items():
         station = instance._stations_by_id.get(sid)
         if station is not None and 0 <= t < horizon:
             demand = station.demand_at(t)
             total += abs(load - demand) - demand
     return instance.imbalance_unit_cost * total
+
+
+def welfare_without(instance: Instance, allocation: Allocation, agent_id: str,
+                    slots: Iterable[tuple[str, str, int]], loads: Mapping[tuple[str, int], int]) -> Money:
+    """The welfare of allocation less agent_id's assignment and its slots
+    (agent_id's triples of allocation.schedule), in O(len(slots)), where
+    loads is cell_loads(instance, allocation.schedule).
+
+    From allocation.objective take off agent_id's valuation, add back its
+    slots' electricity, and take off the imbalance change of its cells, each
+    one charger lighter: unit cost * (|L - 1 - d| - |L - d|) for a cell of
+    load L and demand d inside the stations and [0, horizon).  It equals
+    evaluate_objective of the smaller allocation whenever allocation.objective
+    is allocation's own."""
+    welfare = allocation.objective
+    sid = allocation.assigned.get(agent_id)
+    if sid is not None:
+        welfare -= instance.request(agent_id).access(sid).valuation
+    horizon = instance.time_grid.horizon_len
+    change = 0
+    for _, sid, t in slots:
+        station = instance.station(sid)
+        welfare += station.slot_elec_cost
+        if 0 <= t < horizon:
+            load, demand = loads[(sid, t)], station.demand_at(t)
+            change += abs(load - 1 - demand) - abs(load - demand)
+    return welfare - instance.imbalance_unit_cost * change

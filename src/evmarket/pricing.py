@@ -13,8 +13,8 @@ from bisect import bisect_left, bisect_right
 from functools import partial
 from typing import Callable, Iterable, Optional
 
-from .allocator import STATUS_OPTIMAL, IpModel, SolveResult, build_model, evaluate_objective, solve_exact
-from .model import Allocation, Instance, Money, PricingOutcome
+from .allocator import STATUS_OPTIMAL, IpModel, SolveResult, build_model, solve_exact
+from .model import Allocation, Instance, Money, PricingOutcome, cell_loads, welfare_without
 
 # solver(model), or solver(model, incumbent=allocation, without=aid) for the VCG
 # counterfactual: model.instance's market without aid, starting from a feasible allocation
@@ -106,12 +106,15 @@ def price_vcg(
     agent_ids: Optional[Iterable[str]] = None,
 ) -> PricingOutcome:
     """Each winner pays its externality: the others' best welfare without it
-    minus their welfare with it.  Requires allocation to be a proven optimum;
-    every counterfactual solve must also prove optimality.  Each
-    counterfactual calls solver(model, incumbent=..., without=winner) on one
-    model of instance, built here and freed on return, where the incumbent
-    is the priced allocation without the winner.  Payments can be negative
-    when an EV's charging reduces the imbalance penalty.
+    minus their welfare with it.  Requires allocation to be a proven optimum
+    whose objective is its exact welfare (evaluate_objective), as
+    solve_exact reports it: each incumbent's welfare is derived from it
+    (welfare_without).  Every counterfactual solve must also prove
+    optimality.  Each counterfactual calls solver(model, incumbent=...,
+    without=winner) on one model of instance, built here and freed on
+    return, where the incumbent is the priced allocation without the
+    winner.  Payments can be negative when an EV's charging reduces the
+    imbalance penalty.
     """
     return _vcg(build_model(instance), allocation, solver, agent_ids)
 
@@ -123,16 +126,21 @@ def _vcg(model: IpModel, allocation: Allocation, solver: Solver,
     payments: dict[str, Money] = {}
     utilities: dict[str, Money] = {}
     charged = set()
+    loads = cell_loads(instance, allocation.schedule)
+    slots: dict[str, list[tuple[str, str, int]]] = {}  # each agent's triples of the schedule
+    for triple in allocation.schedule:
+        slots.setdefault(triple[0], []).append(triple)
     for aid in _scope(allocation, agent_ids):
         payments[aid] = utilities[aid] = 0
         sid = allocation.assigned.get(aid)
         if sid is None:
             continue
         # without aid in it, D_i's welfare is the same in the market without aid
+        own = slots.get(aid, [])
         assigned = {a: s for a, s in allocation.assigned.items() if a != aid}
-        schedule = frozenset(tr for tr in allocation.schedule if tr[0] != aid)
-        welfare = evaluate_objective(instance, assigned, schedule)
-        result = solver(model, incumbent=Allocation(assigned, schedule, welfare), without=aid)
+        welfare = welfare_without(instance, allocation, aid, own, loads)
+        incumbent = Allocation(assigned, allocation.schedule.difference(own), welfare)
+        result = solver(model, incumbent=incumbent, without=aid)
         _proven(result, f"counterfactual solve without {aid}")
         val = instance.request(aid).access(sid).valuation
         payments[aid] = result.allocation.objective - (allocation.objective - val)

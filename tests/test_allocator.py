@@ -23,6 +23,7 @@ from evmarket.allocator import (
     evaluate_objective,
 )
 from evmarket.experiments import DESK, DESK_CONTESTED
+from evmarket.scenario import GenParams
 from evmarket.transport import remaining_request
 
 from conftest import (
@@ -170,21 +171,29 @@ def test_fractional_objective_skips_the_dual_bound():
     assert _proofs_and_payments(half_cent=True) == (["milp", "milp"], payments)
 
 
+DEFAULT_4X24 = GenParams(n_evs=30, n_stations=4, horizon=24)  # the gen profile: 2 chargers, imbalance 50
 REFERENCE_MARKETS = [
     *((DESK, s) for s in range(1000, 1020)),
     *((DESK_CONTESTED, s) for s in range(10)),
     (dataclasses.replace(DESK, n_evs=60), 2),
+    (DEFAULT_4X24, 400),
+    (DEFAULT_4X24, 401),
 ]
 
 
-@pytest.mark.parametrize(
-    "params, seed", REFERENCE_MARKETS,
-    ids=[f"{'contested' if p is DESK_CONTESTED else f'desk{p.n_evs}'}-{s}" for p, s in REFERENCE_MARKETS],
-)
+def _market_id(params, seed):
+    name = "contested" if params is DESK_CONTESTED else "default30" if params is DEFAULT_4X24 else f"desk{params.n_evs}"
+    return f"{name}-{seed}"
+
+
+@pytest.mark.parametrize("params, seed", REFERENCE_MARKETS, ids=[_market_id(*m) for m in REFERENCE_MARKETS])
 def test_session_matches_scipy_milp(params, seed):
-    # branch-and-cut on the model's session against scipy's milp on the same
-    # arrays: on a fresh session, and again after every counterfactual of
-    # price_vcg has run its LP and branch-and-cut runs on that session
+    # branch-and-cut on the model's session, after the market LP, against
+    # scipy's milp (HiGHS defaults, feasibility jump on) on the same arrays:
+    # on a fresh session, and again after every counterfactual of price_vcg
+    # has run its LP and branch-and-cut runs on that session.  Seed 401's
+    # relaxation is fractional: branch-and-cut without feasibility jump
+    # there lands on another optimum among ties
     inst = generate(params, seed)
     model = build_model(inst)
     reference = milp_allocation(model)
@@ -614,6 +623,33 @@ def test_proof_names_the_rung():
     assert Counter(rungs) == {("market-bound", 0): 24, ("lp-bound", 0): 1}
 
 
+def test_feasibility_jump_runs_where_the_market_lp_is_fractional(monkeypatch):
+    # the main branch-and-cut runs without feasibility jump after an integral
+    # market LP (desk-30 seed 1000) and with it after a fractional one
+    # (desk-60 seed 2); a counterfactual that falls back to branch-and-cut
+    # keeps it, even on the integral market
+    jumps = []
+    real_run = _Session.run
+
+    def recording(self, time_limit, relaxation):
+        if not relaxation:
+            jumps.append(self.highs.getOptionValue("mip_heuristic_run_feasibility_jump")[1])
+        return real_run(self, time_limit, relaxation)
+
+    monkeypatch.setattr(_Session, "run", recording)
+    integral = build_model(generate(DESK, 1000))
+    main = solve_exact(integral)
+    assert integral._session.integral and jumps == [False]
+    fractional = build_model(generate(dataclasses.replace(DESK, n_evs=60), 2))
+    solve_exact(fractional)
+    assert not fractional._session.integral and jumps == [False, True]
+    monkeypatch.setattr(evmarket.allocator, "_prove_by_market_bound", lambda *args: None)
+    monkeypatch.setattr(evmarket.allocator, "_prove_by_lp", lambda *args: None)
+    winner = min(aid for aid, sid in main.allocation.assigned.items() if sid)
+    price("vcg", integral, main, 0.0, agent_ids=[winner])
+    assert jumps == [False, True, True]
+
+
 def _unservable_market():
     """tiny1 with a3 between a1 and a2: a3 values every station at 0, so it
     has no feasible station, no column and no row."""
@@ -794,13 +830,16 @@ def test_time_limited_solve_keeps_the_pins():
 
 
 def test_time_limit_no_run_can_honour_raises(tiny1):
-    # HiGHS refuses a negative time_limit and keeps its old value (here 7 s),
-    # and it takes NaN; either would let a run go on without the limit asked for
+    # HiGHS refuses a negative time_limit and keeps its old value (here what
+    # the market LP left of 7 s to branch-and-cut), and it takes NaN; either
+    # would let a run go on without the limit asked for
     model = build_model(tiny1)
     for bad in (-1.0, float("nan")):
         with pytest.raises(ValueError, match="time_limit"):
             solve_exact(model, time_limit=bad)
     assert solve_exact(model, time_limit=7.0).status == "optimal"
+    left = model._session.highs.getOptionValue("time_limit")[1]
+    assert 0.0 < left <= 7.0
     with pytest.raises(RuntimeError, match="time_limit=-1.0"):
         model._session.run(-1.0, relaxation=True)
-    assert model._session.highs.getOptionValue("time_limit")[1] == 7.0
+    assert model._session.highs.getOptionValue("time_limit")[1] == left

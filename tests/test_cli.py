@@ -156,12 +156,13 @@ def test_time_limit_reaches_every_solve(tmp_path, tiny1_file, monkeypatch):
                  "--n-instances", "2", "--time-limit", "7"]) == 0
     assert len(limits) == 8  # one allocation solve per instance of the family
     assert set(limits) == {7.0}
-    # every HiGHS run: branch-and-cut for each allocation (solve, the online
-    # clearing, two in calibrate-incr) and the one market LP of each priced
-    # model, run in its first counterfactual, whose bound proves both
-    # counterfactuals without a run of their own
-    solve_runs = [("milp", 7.0), ("lp", 7.0)]
-    assert runs == solve_runs * 2 + [("milp", 7.0)] * 2
+    # every HiGHS run: for each allocation (solve, the online clearing, two
+    # in calibrate-incr) the market LP under the limit, then branch-and-cut
+    # within what the LP left of it; the LP's bound proves both
+    # counterfactuals of each priced model without a run of their own
+    assert [kind for kind, _ in runs] == ["lp", "milp"] * 4
+    assert {limit for kind, limit in runs if kind == "lp"} == {7.0}
+    assert all(6.0 < limit <= 7.0 for kind, limit in runs if kind == "milp")
 
 
 @pytest.mark.parametrize("command, flags", [

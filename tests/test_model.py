@@ -5,10 +5,12 @@ from collections import Counter
 import pytest
 
 from evmarket import (
-    EvRequest, EvType, MONEY_SCALE, RoadNetwork, Station, StationAccess, TimeGrid, imbalance_cost,
+    Allocation, EvRequest, EvType, MONEY_SCALE, RoadNetwork, Station, StationAccess, TimeGrid, imbalance_cost,
 )
+from evmarket.allocator import evaluate_objective
+from evmarket.model import cell_loads, welfare_without
 
-from conftest import flat_instance, make_ev, make_station
+from conftest import flat_instance, make_ev, make_station, random_flat_instance
 
 
 def test_money_scale():
@@ -172,3 +174,32 @@ def test_imbalance_counts_the_committed_load():
 def test_demand_past_the_profile_is_zero():
     station = make_station("L1", dem=(3, 1))
     assert [station.demand_at(t) for t in range(4)] == [3, 1, 0, 0]
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_welfare_without_matches_evaluate_objective(seed):
+    # the welfare of an allocation less one agent, derived from the
+    # allocation's own in O(the agent's slots), against evaluate_objective of
+    # the smaller allocation: random markets over random committed load, and
+    # random allocations, rules aside (an unassigned agent may charge)
+    rng = random.Random(seed)
+    inst = random_flat_instance(seed, max_evs=6)
+    committed = {(f"c{k}", st.id, t) for st in inst.stations for t in range(inst.time_grid.horizon_len)
+                 if rng.random() < 0.4 for k in range(rng.randint(1, st.slots))}
+    inst = dataclasses.replace(inst, committed=frozenset(committed))
+    assigned, schedule = {}, set()
+    for req in inst.requests:
+        aid, options = req.ev.id, sorted(req.per_station)
+        sid = rng.choice(options) if options else None
+        if sid is not None:
+            acc = req.access(sid)
+            schedule |= {(aid, sid, t) for t in range(acc.arrival, acc.departure) if rng.random() < 0.7}
+        assigned[aid] = sid if sid in req.feasible_stations and rng.random() < 0.8 else None
+    allocation = Allocation(assigned, frozenset(schedule), evaluate_objective(inst, assigned, frozenset(schedule)))
+    loads = cell_loads(inst, allocation.schedule)
+    assert imbalance_cost(inst, allocation.schedule) == _every_cell_imbalance(inst, allocation.schedule)
+    for aid in assigned:
+        own = [tr for tr in allocation.schedule if tr[0] == aid]
+        rest = {a: s for a, s in assigned.items() if a != aid}
+        expected = evaluate_objective(inst, rest, allocation.schedule.difference(own))
+        assert welfare_without(inst, allocation, aid, own, loads) == expected, aid

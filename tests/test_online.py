@@ -14,6 +14,7 @@ from conftest import (
     flat_instance,
     make_ev,
     make_station,
+    milp_allocation,
     random_flat_instance,
     unproven_full_market_solver,
 )
@@ -221,3 +222,21 @@ def test_pricing_is_scoped_to_each_clearings_eligible_agents(seed, mechanism, mo
         assert not set(scope) & committed
         committed |= set(clearing.newly_committed)
     assert committed == online.outcome.charged
+
+
+@pytest.mark.parametrize("seed", range(100, 105))
+def test_every_clearing_matches_scipy_milp(seed):
+    # each clearing's branch-and-cut, after its market LP, lands on the point
+    # that scipy's milp (HiGHS defaults, feasibility jump on) finds on the
+    # same arrays
+    clearings = []
+
+    def recording(model, incumbent=None, without=None):
+        result = solve_exact(model, incumbent=incumbent, without=without)
+        if incumbent is None:
+            assert result.allocation == milp_allocation(model)
+            clearings.append(model.instance.committed)
+        return result
+
+    run_online(generate(DESK, seed), ClearingSchedule((3, 6, 9, 12, 15)), "vcg", solver=recording, carryover=True)
+    assert len(clearings) >= 3 and any(clearings)  # later clearings over committed load

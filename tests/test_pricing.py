@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from evmarket import (
-    Allocation, build_model, calibrate_incr, generate, price, price_coop, price_vcg, solve_exact,
+    build_model, calibrate_incr, generate, price, price_coop, price_vcg, solve_exact,
 )
-from evmarket.allocator import STATUS_OPTIMAL, STATUS_TIME_LIMITED, SolveResult, _Session, evaluate_objective
+from evmarket.allocator import STATUS_OPTIMAL, STATUS_TIME_LIMITED, SolveResult, _Session
 from evmarket.experiments import DESK, DESK_CONTESTED
 from evmarket.pricing import CounterfactualNotOptimal, NoBreakeven, _coop_price, markup_grid
 
@@ -300,19 +300,16 @@ def test_vcg_ladder_matches_milp_random_flat():
 
 
 def test_market_lp_stopped_by_the_time_limit_certifies_nothing():
-    # the market LP runs in the first counterfactual and within its time
-    # limit: at 0 s it stops, that counterfactual is not proven, and the
-    # session never certifies by the market's bound; the payments stay the same
+    # the market LP runs first in the main solve and within its time limit:
+    # at 0 s it stops, the solve is not proven, and the session never
+    # certifies by the market's bound; the payments stay the same
     inst = generate(DESK, 1000)
     model = build_model(inst)
-    main = solve_exact(model)
-    winner = min(aid for aid, sid in main.allocation.assigned.items() if sid)
-    assigned = {**main.allocation.assigned, winner: None}
-    schedule = frozenset(tr for tr in main.allocation.schedule if tr[0] != winner)
-    stopped = solve_exact(model, time_limit=0.0, without=winner,
-                          incumbent=Allocation(assigned, schedule, evaluate_objective(inst, assigned, schedule)))
+    stopped = solve_exact(model, time_limit=0.0)
     assert stopped.status == STATUS_TIME_LIMITED
     assert model._session.market_terms(model, 7.0) is None
+    main = solve_exact(model)
+    assert main.status == STATUS_OPTIMAL
     proofs = []
 
     def recording(model, incumbent=None, without=None):
@@ -363,8 +360,9 @@ def test_model_after_pricing_is_the_parent(params, seed):
 @pytest.mark.parametrize("params, seed, failing, nth", [(DESK, 1000, True, 1), (DESK_CONTESTED, 0, False, 3)],
                          ids=["lp-run", "branch-and-cut-run"])
 def test_raising_counterfactual_restores_bounds(params, seed, failing, nth, monkeypatch):
-    # the market LP (desk-30, whose bound proves every counterfactual) or the
-    # third branch-and-cut run (contested) raises
+    # the first LP run of pricing (desk-30, where the main solve ran the
+    # market LP: the one counterfactual its bound leaves to its own LP) or
+    # the third branch-and-cut run (contested) raises
     inst = generate(params, seed)
     model = build_model(inst)
     main = solve_exact(model)
