@@ -29,7 +29,6 @@ from .allocator import (
     solve_exact,
     validate_allocation,
 )
-from .bruteforce import solve_bruteforce
 from .pricing import calibrate_incr, price, price_coop, price_vcg
 from .online import ClearingSchedule, OnlineResult, run_online
 from .scenario import GenParams, generate, perturb_reports
@@ -62,7 +61,6 @@ __all__ = [
     "price_coop",
     "price_vcg",
     "run_online",
-    "solve_bruteforce",
     "solve_exact",
     "validate_allocation",
 ]

@@ -14,24 +14,17 @@ row, and derives one column-wise copy of them, which HiGHS is given and
 from which the exact dual bound sums A^T y.  scipy.sparse is not imported:
 IpModel.A builds a scipy view of the arrays only for callers that ask.
 
-solve_exact runs every solve on one HiGHS session per model, branch-and-cut
-with a zero MIP gap.  The solution is re-evaluated in exact integer arithmetic
-(evaluate_objective, whose imbalance term is model.imbalance_cost) so that
-reported optima are bit-reproducible and comparable across counterfactual
-solves, and checked with validate_allocation, the rules that judge any
-allocation.  A solve without an incumbent, or a session's first VCG
-counterfactual, runs the market's LP relaxation once per session, on a
-scratch HiGHS freed before any branch-and-cut, and the session keeps the
-exact terms of its dual bound, whether its binaries came out integral, and
-its basis.  Where they did, the root LP proves the market, so
-the market's branch-and-cut runs without the feasibility jump heuristic,
-which HiGHS would otherwise run before the root; everywhere else it runs.
-Given a known feasible allocation (the incumbent), solve_exact first tries
-to prove it, or the LP relaxation's point, optimal with an exact integer
-dual bound and runs branch-and-cut only when that fails.  A VCG
-counterfactual fixes one agent's columns to 0 on the market's model.  Its
-first rung runs no solve: the market without agent i is bounded by the
-market LP's terms less i's own rows (IpModel.rows) and columns.
+solve_exact runs every solve on one HiGHS session per model and reports
+optima re-evaluated in exact integer arithmetic (evaluate_objective, whose
+imbalance term is model.imbalance_cost), bit-reproducible and comparable
+across counterfactual solves.  One check, _certify, proves an allocation
+optimal: it is a point of the model that passes validate_allocation, the
+rules that judge any allocation, and its exact welfare equals an exact
+integer dual bound.  The bound's multipliers come from the market's LP
+relaxation, run once per model on a scratch HiGHS, or from the solve's own
+LP; a VCG counterfactual fixes one winner's columns to 0 and takes either
+bound less the winner's own rows (IpModel.rows) and columns.  Branch-and-cut,
+with a zero MIP gap, runs only where no certificate holds.
 """
 
 from __future__ import annotations
@@ -131,7 +124,7 @@ class IpModel:
     def colwise(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """A column by column, as (start, row, value): column j's rows, ascending,
         are row[start[j]:start[j + 1]] with coefficients value[...].  These are
-        the arrays A.tocsc() holds, dtypes included; HiGHS and _dual_bound read them."""
+        the arrays A.tocsc() holds, dtypes included; HiGHS and _bound_terms read them."""
         order = np.argsort(self.indices, kind="stable")
         rows = np.repeat(np.arange(len(self.b), dtype=np.int32), np.diff(self.indptr))
         start = np.concatenate(([0], np.cumsum(np.bincount(self.indices, minlength=self.n_vars))))
@@ -139,7 +132,7 @@ class IpModel:
 
     @cached_property
     def integral(self) -> bool:
-        """c, b and A hold only integers, as _dual_bound's exact arithmetic needs."""
+        """c, b and A hold only integers, as _bound_terms' exact arithmetic needs."""
         return all(np.array_equal(v, np.trunc(v)) for v in (self.c, self.b, self.data))
 
 
@@ -385,10 +378,21 @@ def _column_sums(start: np.ndarray, entries: np.ndarray) -> np.ndarray:
 
 def _bound_terms(model: IpModel, y: np.ndarray, lb: np.ndarray,
                  ub: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """The exact int64 terms of _dual_bound's sum, before the division by
-    DUAL_GRID: per row b_r * floor(y_r * DUAL_GRID), and per column its
-    scaled reduced cost times the end of its box that maximizes the
-    product.  None where _dual_bound refuses."""
+    """The exact int64 terms of an upper bound on the optimum within bounds
+    lb, ub from row multipliers y, before the division by DUAL_GRID: per
+    row b_r * floor(y_r * DUAL_GRID), and per column its scaled reduced
+    cost times the end of its box that maximizes the product.
+
+    For any y >= 0 and any feasible x, c.x <= b.y + (c - A^T y).x, and each
+    term of the second product is at most its best value over the
+    variable's box (Neumaier & Shcherbina, "Safe bounds in linear and
+    mixed-integer linear programming", Math. Prog. 2004).  y is clipped at 0
+    and rounded down onto a grid of 1/DUAL_GRID, so with integer c, A, b and
+    bounds every term is an exact int64, and _bound_without floors their
+    sum exactly.  None when c, A, b or a finite bound is fractional, when an
+    unbounded variable has a reduced cost pointing at its open end, or when
+    a partial sum could overflow int64.
+    """
     lo_open, hi_open = ~np.isfinite(lb), ~np.isfinite(ub)
     lo, hi = np.where(lo_open, 0.0, lb), np.where(hi_open, 0.0, ub)
     if not model.integral or any(not np.array_equal(v, np.trunc(v)) for v in (lo, hi)):
@@ -406,22 +410,6 @@ def _bound_terms(model: IpModel, y: np.ndarray, lb: np.ndarray,
     if np.any((reduced > 0) & hi_open) or np.any((reduced < 0) & lo_open):
         return None
     return model.b.astype(np.int64) * yq, reduced * np.where(reduced > 0, hi, lo).astype(np.int64)
-
-
-def _dual_bound(model: IpModel, y: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> Optional[int]:
-    """Exact integer upper bound on the optimum within bounds lb, ub from row multipliers y.
-
-    For any y >= 0 and any feasible x, c.x <= b.y + (c - A^T y).x, and each
-    term of the second product is at most its best value over the
-    variable's box (Neumaier & Shcherbina, "Safe bounds in linear and
-    mixed-integer linear programming", Math. Prog. 2004).  y is clipped at 0
-    and rounded down onto a grid of 1/DUAL_GRID, so with integer c, A, b and
-    bounds the bound is computed in int64 and floored exactly.  None when an
-    unbounded variable has a reduced cost pointing at its open end, or when
-    a partial sum could overflow int64.
-    """
-    terms = _bound_terms(model, y, lb, ub)
-    return None if terms is None else _bound_without(model, terms, None)
 
 
 def _bound_without(model: IpModel, terms: tuple[np.ndarray, np.ndarray], aid: Optional[str]) -> int:
@@ -458,18 +446,19 @@ def _is_model_point(model: IpModel, allocation: Allocation, lb: np.ndarray, ub: 
     return not validate_allocation(model.instance, allocation)
 
 
-def _prove_by_market_bound(model: IpModel, lb: np.ndarray, ub: np.ndarray, incumbent: Allocation,
-                           without: Optional[str], time_limit: float) -> Optional[Allocation]:
-    """The incumbent, once it is a point of the model within lb, ub and its
-    exact welfare equals the market LP's exact bound less without's own rows
-    and columns (_bound_without); None otherwise."""
-    terms = model._session.market_terms(model, time_limit)
-    if terms is None or not _is_model_point(model, incumbent, lb, ub):
+def _certify(model: IpModel, terms: Optional[tuple[np.ndarray, np.ndarray]], without: Optional[str],
+             allocation: Allocation, lb: np.ndarray, ub: np.ndarray) -> Optional[Allocation]:
+    """allocation with its exact welfare, once it is a point of the model
+    within lb, ub and that welfare equals the exact bound that terms give
+    the market without `without` (_bound_without): no point of that market
+    is worth more, so allocation is optimal.  None otherwise, and for
+    terms None."""
+    if terms is None or not _is_model_point(model, allocation, lb, ub):
         return None
-    welfare = evaluate_objective(model.instance, incumbent.assigned, incumbent.schedule)
+    welfare = evaluate_objective(model.instance, allocation.assigned, allocation.schedule)
     if welfare != _bound_without(model, terms, without):
         return None
-    return Allocation(incumbent.assigned, incumbent.schedule, welfare)
+    return Allocation(allocation.assigned, allocation.schedule, welfare)
 
 
 def _integral_binaries(model: IpModel, x: np.ndarray) -> bool:
@@ -478,49 +467,28 @@ def _integral_binaries(model: IpModel, x: np.ndarray) -> bool:
     return bool(np.all(np.abs(binary - np.round(binary)) <= 1e-6))
 
 
-def _prove_by_lp(model: IpModel, lb: np.ndarray, ub: np.ndarray, incumbent: Allocation,
-                 time_limit: float) -> Optional[tuple[Allocation, str]]:
-    """The incumbent ("lp-bound") or the LP relaxation's point when its
-    binaries are integral ("lp-integral"), once its exact welfare equals the
-    exact dual bound of the relaxation within lb, ub, the bounds the
-    model's session holds; None when neither is proven."""
-    status, x, y, _ = model._session.run(time_limit, relaxation=True)
-    if status != _core.HighsModelStatus.kOptimal or (bound := _dual_bound(model, y, lb, ub)) is None:
-        return None
-    if _is_model_point(model, incumbent, lb, ub):  # so evaluate_objective knows every id
-        welfare = evaluate_objective(model.instance, incumbent.assigned, incumbent.schedule)
-        if welfare == bound:
-            return Allocation(incumbent.assigned, incumbent.schedule, welfare), "lp-bound"
-    if _integral_binaries(model, x):
-        point = _allocation_from_x(model, np.round(x))
-        if point.objective == bound and _is_model_point(model, point, lb, ub):
-            return point, "lp-integral"
-    return None
-
-
 def solve_exact(model: IpModel, time_limit: float = DEFAULT_TIME_LIMIT,
                 incumbent: Optional[Allocation] = None, without: Optional[str] = None) -> SolveResult:
     """Solve the 0-1 program to proven optimality.
 
-    Every run goes to the model's one HiGHS session.  Branch-and-cut runs
-    with a zero MIP gap; its solution is re-evaluated in exact integer
-    arithmetic and, proven or not, must pass validate_allocation, else
-    RuntimeError names the violations.  Deterministic for a fixed input;
-    reports feasible_time_limited when the clock runs out before the proof.
-
     without names an agent whose columns are fixed to 0 for this solve: a
     VCG counterfactual solves the market without its winner on this model,
-    with the priced allocation less the winner as incumbent.  There,
-    _prove_by_market_bound first tries the incumbent against the exact
-    bound of the market's own LP relaxation (_Session.market_terms).
-    Failing that, and for an incumbent without `without`, the LP relaxation
-    within the solve's bounds runs, and branch-and-cut only when
-    _prove_by_lp proves neither the incumbent nor the LP point.  Without an
-    incumbent, the market LP runs first, once per session, so that pricing
-    on this model runs none, and then branch-and-cut; feasibility jump is
-    off for branch-and-cut of the whole market after an integral market LP
-    and on for every other.  All runs of a solve share time_limit.  A
-    time_limit that is not a number >= 0 raises ValueError.
+    with the priced allocation less the winner as incumbent.  Every solve
+    takes the same steps on the model's HiGHS session, and _certify makes
+    every proof short of branch-and-cut:
+    1. "market-bound": the incumbent against the terms of the market's LP
+       relaxation, run once per session (_Session.market_terms).
+    2. With an incumbent, the LP relaxation within the solve's bounds runs;
+       the terms of its multipliers at the model's own bounds prove the
+       incumbent ("lp-bound"), or else its point when the binaries are
+       integral ("lp-integral").
+    3. "milp": branch-and-cut with a zero MIP gap, feasibility jump off for
+       the whole market after an integral market LP and on for any other
+       search.  Its solution is re-evaluated exactly and, proven or not,
+       must pass validate_allocation, else RuntimeError names the violations.
+    Deterministic for a fixed input; reports feasible_time_limited when the
+    clock runs out before the proof.  All runs of a solve share time_limit;
+    one that is not a number >= 0 raises ValueError.
     """
     if not time_limit >= 0:  # NaN included, which HiGHS would take as a limit
         raise ValueError(f"time_limit must be a number of seconds >= 0, got {time_limit}")
@@ -535,18 +503,20 @@ def solve_exact(model: IpModel, time_limit: float = DEFAULT_TIME_LIMIT,
     if model.n_vars == 0:
         return SolveResult(_allocation_from_x(model, lb), STATUS_OPTIMAL)
     session = model._session = model._session or _Session(model)
-    if incumbent is None:
-        session.market_terms(model, time_limit)
-    elif without is not None:
-        proven = _prove_by_market_bound(model, lb, ub, incumbent, without, time_limit)
-        if proven is not None:
-            return SolveResult(proven, STATUS_OPTIMAL, proof="market-bound")
+    market = session.market_terms(model, time_limit)
+    if incumbent is not None and (proven := _certify(model, market, without, incumbent, lb, ub)) is not None:
+        return SolveResult(proven, STATUS_OPTIMAL, proof="market-bound")
     session.set_bounds(cols, lb[cols], ub[cols])
     try:
         if incumbent is not None:
-            proven = _prove_by_lp(model, lb, ub, incumbent, left())
-            if proven is not None:
-                return SolveResult(proven[0], STATUS_OPTIMAL, proof=proven[1])
+            status, x, y, _ = session.run(left(), relaxation=True)
+            own = _bound_terms(model, y, model.lb, model.ub) if status == _core.HighsModelStatus.kOptimal else None
+            if (proven := _certify(model, own, without, incumbent, lb, ub)) is not None:
+                return SolveResult(proven, STATUS_OPTIMAL, proof="lp-bound")
+            if own is not None and _integral_binaries(model, x):
+                point = _allocation_from_x(model, np.round(x))
+                if (proven := _certify(model, own, without, point, lb, ub)) is not None:
+                    return SolveResult(proven, STATUS_OPTIMAL, proof="lp-integral")
         # after an integral market LP the root proves the market alone, and
         # feasibility jump only delays it; every other search keeps it
         session._set_option("mip_heuristic_run_feasibility_jump", not (without is None and session.integral))

@@ -14,8 +14,8 @@ from __future__ import annotations
 import itertools
 from typing import Optional, Sequence
 
-from .model import Allocation, Instance
-from .allocator import evaluate_objective
+from evmarket.allocator import evaluate_objective
+from evmarket.model import Allocation, Instance
 
 GUARD_MAX_AGENTS = 4
 GUARD_MAX_STATIONS = 3

@@ -8,8 +8,10 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 
 import evmarket.cli
 import evmarket.experiments
-from evmarket import EvType, Instance, Station, TimeGrid, build_model, build_requests, solve_bruteforce
+from evmarket import EvType, Instance, Station, TimeGrid, build_model, build_requests
 from evmarket.allocator import STATUS_OPTIMAL, STATUS_TIME_LIMITED, SolveResult, _allocation_from_x
+
+from bruteforce import solve_bruteforce
 
 
 def flat_instance(stations, evs, imbalance_unit_cost=0, horizon=4):

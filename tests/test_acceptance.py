@@ -23,13 +23,13 @@ from evmarket import (
     generate,
     price_coop,
     price_vcg,
-    solve_bruteforce,
     solve_exact,
     validate_allocation,
 )
 from evmarket.cli import main as cli_main
 from evmarket.experiments import DESK, run_exp1, run_exp2, run_exp4
 
+from bruteforce import solve_bruteforce
 from conftest import bf_solver, flat_instance, make_ev, make_station, random_flat_instance
 
 # one line per criterion; echoed by the terminal-summary hook in conftest so

@@ -14,18 +14,18 @@ from evmarket import (
     generate,
     price,
     price_vcg,
-    solve_bruteforce,
     solve_exact,
     validate_allocation,
 )
 from evmarket.allocator import (
-    DUAL_GRID, Infeasible, IpModel, _bound_terms, _bound_without, _core, _dual_bound, _Session,
+    DUAL_GRID, Infeasible, IpModel, _bound_terms, _bound_without, _core, _Session,
     evaluate_objective,
 )
 from evmarket.experiments import DESK, DESK_CONTESTED
 from evmarket.scenario import GenParams
 from evmarket.transport import remaining_request
 
+from bruteforce import solve_bruteforce
 from conftest import (
     drop_agent, flat_instance, make_ev, make_station, milp_allocation, random_flat_instance,
 )
@@ -257,7 +257,7 @@ def test_validate_charging_without_assignment(tiny2):
     assert "unassigned-charging" in codes
 
 
-def test_pins_are_respected(tiny2):
+def test_committed_load_is_respected(tiny2):
     # the lower-value a2 holds the one charger from an earlier clearing: a1,
     # the only agent left in the market, cannot take it
     committed = frozenset({("a2", "L1", 0), ("a2", "L1", 1)})
@@ -267,7 +267,7 @@ def test_pins_are_respected(tiny2):
     assert solve_bruteforce(inst) == result.allocation
 
 
-BAD_PINS = [  # (violation code, assignment, schedule): once refused as pins, now as allocations
+RULE_BREAKERS = [  # (violation code, assignment, schedule)
     ("station-capacity", {"a1": "L1", "a2": "L1"},
      {("a1", "L1", 0), ("a1", "L1", 1), ("a2", "L1", 0), ("a2", "L1", 1)}),
     ("outside-window", {"a1": "L1"}, {("a1", "L1", 1), ("a1", "L1", 2)}),
@@ -281,7 +281,7 @@ BAD_PINS = [  # (violation code, assignment, schedule): once refused as pins, no
 ]
 
 
-@pytest.mark.parametrize("code, assigned, schedule", BAD_PINS, ids=[c[0] for c in BAD_PINS])
+@pytest.mark.parametrize("code, assigned, schedule", RULE_BREAKERS, ids=[c[0] for c in RULE_BREAKERS])
 def test_contradictory_pins_raise(code, assigned, schedule):
     # each allocation breaks the named rule of the market that holds a1, a2 and a3
     inst = flat_instance(
@@ -461,6 +461,12 @@ def _lp_duals(model):
     return -_cold_lp(model, model.lb, model.ub).ineqlin.marginals
 
 
+def _dual_bound(model, y, lb, ub):
+    """The exact bound that multipliers y give the optimum within lb, ub; None where _bound_terms refuses."""
+    terms = _bound_terms(model, y, lb, ub)
+    return None if terms is None else _bound_without(model, terms, None)
+
+
 @pytest.mark.parametrize("case", ["tiny1", "tiny2", "fractional", "imbalance"])
 def test_dual_bound_equals_integer_optimum(case, tiny1, tiny2):
     inst = {"tiny1": tiny1, "tiny2": tiny2, "fractional": _fractional_market(),
@@ -606,8 +612,8 @@ def test_unproven_incumbent_goes_to_milp(case):
     assert all(t >= not_before for _, _, t in result.allocation.schedule)
 
 
-def test_proof_names_the_rung():
-    inst = generate(DESK, 1000)
+def _counterfactual_rungs(inst):
+    """(proof, nodes) of each VCG counterfactual after inst's main solve, which branch-and-cut proves."""
     main = solve_exact(build_model(inst))
     assert main.proof == "milp"
     rungs = []
@@ -618,9 +624,18 @@ def test_proof_names_the_rung():
         return result
 
     price_vcg(inst, main.allocation, solver=recording)
+    return rungs
+
+
+def test_proof_names_the_rung():
     # the bound of the market's LP, less each winner's own rows and columns,
-    # proves all but one counterfactual; that one's own LP proves it
-    assert Counter(rungs) == {("market-bound", 0): 24, ("lp-bound", 0): 1}
+    # proves all but one counterfactual of desk-30 seed 1000; that one's own
+    # LP proves it
+    assert Counter(_counterfactual_rungs(generate(DESK, 1000))) == {("market-bound", 0): 24, ("lp-bound", 0): 1}
+    # contested seed 6 reaches every rung; only the proofs are checked, as
+    # branch-and-cut's node counts may vary
+    rungs = _counterfactual_rungs(generate(DESK_CONTESTED, 6))
+    assert Counter(proof for proof, _ in rungs) == {"market-bound": 3, "lp-bound": 1, "lp-integral": 7, "milp": 5}
 
 
 def test_feasibility_jump_runs_where_the_market_lp_is_fractional(monkeypatch):
@@ -643,8 +658,7 @@ def test_feasibility_jump_runs_where_the_market_lp_is_fractional(monkeypatch):
     fractional = build_model(generate(dataclasses.replace(DESK, n_evs=60), 2))
     solve_exact(fractional)
     assert not fractional._session.integral and jumps == [False, True]
-    monkeypatch.setattr(evmarket.allocator, "_prove_by_market_bound", lambda *args: None)
-    monkeypatch.setattr(evmarket.allocator, "_prove_by_lp", lambda *args: None)
+    monkeypatch.setattr(evmarket.allocator, "_certify", lambda *args: None)
     winner = min(aid for aid, sid in main.allocation.assigned.items() if sid)
     price("vcg", integral, main, 0.0, agent_ids=[winner])
     assert jumps == [False, True, True]
@@ -713,6 +727,25 @@ def test_bound_without_an_agent_drops_its_rows_and_columns(case):
             y_without = y.copy()
             y_without[r0:r1] = 0.0
             assert _bound_without(model, terms, aid) == _dual_bound(model, y_without, lb, ub), aid
+
+
+@pytest.mark.parametrize("case", MATRIX_CASES[:-1])
+def test_own_lp_bound_lies_between_the_optimum_and_the_box_bound(case):
+    # a counterfactual's own LP duals, taken at the model's own bounds less
+    # the agent's rows and columns, bound the market without the agent: no
+    # lower than its optimum, and no higher than the same duals' bound
+    # within the box that zeroes the agent's columns, which keeps the terms
+    # of its rows (each >= 0, as y >= 0 and their right-hand sides are)
+    model = _matrix_case(case)
+    for aid, cols in model.columns.items():
+        if not cols:
+            continue
+        lb, ub = model.lb.copy(), model.ub.copy()
+        lb[cols] = ub[cols] = 0.0
+        y = -_cold_lp(model, lb, ub).ineqlin.marginals
+        bound = _bound_without(model, _bound_terms(model, y, model.lb, model.ub), aid)
+        optimum = solve_exact(model, without=aid).allocation.objective
+        assert optimum <= bound <= _dual_bound(model, y, lb, ub), aid
 
 
 def test_market_bound_below_the_incumbent_proves_nothing(monkeypatch):
@@ -818,7 +851,7 @@ def test_solve_without_agent_matches_bruteforce(tiny1, tiny2):
                 assert validate_allocation(inst, result.allocation) == []
 
 
-def test_time_limited_solve_keeps_the_pins():
+def test_time_limited_solve_keeps_the_committed_load():
     # the fallback when the clock runs out serves nobody, which the committed
     # load always leaves room for
     inst = _desk30_clearing()

@@ -1,9 +1,9 @@
 import pytest
 
-import evmarket.bruteforce
-from evmarket import build_model, solve_bruteforce, solve_exact, validate_allocation
-from evmarket.bruteforce import TooLarge
+from evmarket import build_model, solve_exact, validate_allocation
 
+import bruteforce
+from bruteforce import TooLarge, solve_bruteforce
 from conftest import flat_instance, make_ev, make_station, random_flat_instance
 
 
@@ -46,7 +46,7 @@ def test_guard_rails():
 
 def test_bookkeeping_check_raises(tiny1, monkeypatch):
     # a RuntimeError, not an assert, so the check also runs under python -O
-    monkeypatch.setattr(evmarket.bruteforce, "evaluate_objective", lambda *args: -1)
+    monkeypatch.setattr(bruteforce, "evaluate_objective", lambda *args: -1)
     with pytest.raises(RuntimeError, match="bookkeeping"):
         solve_bruteforce(tiny1)
 

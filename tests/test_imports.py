@@ -13,6 +13,9 @@ import sys
 import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "evmarket"
+# the package's modules, and the enumeration oracle, whose guards the tests
+# also run under python -O
+CHECKED = [*sorted(SRC.glob("*.py")), pathlib.Path(__file__).resolve().parent / "bruteforce.py"]
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -37,7 +40,7 @@ def _used(tree: ast.Module) -> set[str]:
     return used
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", CHECKED, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     unused = sorted(
@@ -48,7 +51,7 @@ def test_no_unused_imports(path):
     assert unused == [], f"{path.name} imports names it never uses: {unused}"
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", CHECKED, ids=lambda p: p.name)
 def test_no_assert_statements(path):
     # python -O strips assert, so a check that guards soundness must raise instead
     tree = ast.parse(path.read_text(), filename=str(path))
@@ -67,12 +70,12 @@ def _mentions_committed(tree: ast.Module) -> bool:
     )
 
 
-def test_only_the_clearing_layers_read_pins():
+def test_only_the_clearing_layers_read_commitments():
     # commitments are the online run's earlier clearings: the model carries
-    # them as station load, the model builder and the oracle honour it, and
-    # pricing never needs them
+    # them as station load, the model builder and validate_allocation honour
+    # it, and pricing never needs them
     readers = {path.name for path in SRC.glob("*.py") if _mentions_committed(ast.parse(path.read_text()))}
-    assert readers <= {"model.py", "allocator.py", "bruteforce.py", "online.py"}
+    assert readers <= {"model.py", "allocator.py", "online.py"}
     assert "online.py" in readers and "pricing.py" not in readers
 
 
@@ -133,7 +136,7 @@ PUBLIC = [
     "MONEY_SCALE", "OnlineResult", "PricingOutcome", "RoadNetwork", "STATUS_OPTIMAL",
     "STATUS_TIME_LIMITED", "SolveResult", "Station", "StationAccess", "TimeGrid", "build_model",
     "build_requests", "calibrate_incr", "generate", "imbalance_cost", "perturb_reports", "price",
-    "price_coop", "price_vcg", "run_online", "solve_bruteforce", "solve_exact",
+    "price_coop", "price_vcg", "run_online", "solve_exact",
     "validate_allocation",
 ]
 

@@ -70,7 +70,7 @@ def test_single_early_clearing_services_everyone(tiny1):
     assert len(online.outcome.charged) == 2
 
 
-def test_pinned_commitments_survive():
+def test_commitments_survive():
     # a1 reports first and takes the only slot; a2 arrives later and is
     # rejected because the commitment can't be touched
     inst = flat_instance(

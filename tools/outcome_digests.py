@@ -9,7 +9,11 @@ outputs.
 each market with `solve_exact` and prices it with VCG (`run_online` with
 VCG and carryover for the online markets), and writes a JSON object of
 market name -> SHA-256 of the allocation's assignment, schedule and
-objective and of every payment.  It takes a few minutes on one core.
+objective and of every payment.  Each market's progress line also counts
+the proofs (`SolveResult.proof`) of its main solves and of its VCG
+counterfactuals, recorded by a wrapper around `solve_exact` given to
+pricing and `run_online` as their solver; the JSON holds digests alone.
+It takes a few minutes on one core.
 `compare` prints each market whose digest differs or that only one file
 holds, and exits 1 when there is one.
 """
@@ -21,6 +25,7 @@ import hashlib
 import json
 import os
 import sys
+from collections import Counter
 from dataclasses import replace
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
@@ -55,15 +60,28 @@ def digest(allocation, payments) -> str:
 
 def run(out: str) -> None:
     digests = {}
+    proofs = Counter()  # (main or cf, proof) -> solves of the current market
+
+    def solver(model, incumbent=None, without=None):
+        result = solve_exact(model, incumbent=incumbent, without=without)
+        proofs["main" if without is None else "cf", result.proof] += 1
+        return result
+
+    def report(name: str) -> None:
+        counts = " ".join(f"{kind}:{proof}={n}" for (kind, proof), n in sorted(proofs.items()))
+        print(name, digests[name][:12], counts, flush=True)
+        proofs.clear()
+
     for name, params, seed in OFFLINE:
         model = build_model(generate(params, seed))
-        result = solve_exact(model)
-        digests[name] = digest(result.allocation, price("vcg", model, result, 0.0).payments)
-        print(name, digests[name][:12], flush=True)
+        result = solver(model)
+        digests[name] = digest(result.allocation, price("vcg", model, result, 0.0, solver=solver).payments)
+        report(name)
     for name, params, seed in ONLINE:
-        online = run_online(generate(params, seed), ClearingSchedule(CLEARING_POINTS), "vcg", carryover=True)
+        online = run_online(generate(params, seed), ClearingSchedule(CLEARING_POINTS), "vcg",
+                            solver=solver, carryover=True)
         digests[name] = digest(online.allocation, online.outcome.payments)
-        print(name, digests[name][:12], flush=True)
+        report(name)
     with open(out, "w") as f:
         json.dump(digests, f, indent=1, sort_keys=True)
 
