@@ -14,17 +14,20 @@ row, and derives one column-wise copy of them, which HiGHS is given and
 from which the exact dual bound sums A^T y.  scipy.sparse is not imported:
 IpModel.A builds a scipy view of the arrays only for callers that ask.
 
-solve_exact runs every solve on one HiGHS session per model and reports
-optima re-evaluated in exact integer arithmetic (evaluate_objective, whose
-imbalance term is model.imbalance_cost), bit-reproducible and comparable
-across counterfactual solves.  One check, _certify, proves an allocation
-optimal: it is a point of the model that passes validate_allocation, the
-rules that judge any allocation, and its exact welfare equals an exact
-integer dual bound.  The bound's multipliers come from the market's LP
-relaxation, run once per model on a scratch HiGHS, or from the solve's own
-LP; a VCG counterfactual fixes one winner's columns to 0 and takes either
-bound less the winner's own rows (IpModel.rows) and columns.  Branch-and-cut,
-with a zero MIP gap, runs only where no certificate holds.
+solve_exact runs each LP and each branch-and-cut on a HiGHS of its own,
+freed when the run ends, and reports optima re-evaluated in exact integer
+arithmetic (evaluate_objective, whose imbalance term is
+model.imbalance_cost), bit-reproducible and comparable across
+counterfactual solves.  The model keeps data alone: the market LP's bound
+terms, whether its binaries were integral, and the last LP basis.  One
+check, _certify, proves an allocation optimal: it is a point of the model
+that passes validate_allocation, the rules that judge any allocation, and
+its exact welfare equals an exact integer dual bound.  The bound's
+multipliers come from the market's LP relaxation, run once per model, or
+from the solve's own LP; a VCG counterfactual fixes one winner's columns to
+0 and takes either bound less the winner's own rows (IpModel.rows) and
+columns.  Branch-and-cut, with a zero MIP gap, runs only where no
+certificate holds.
 """
 
 from __future__ import annotations
@@ -80,6 +83,9 @@ DEFAULT_TIME_LIMIT = 300.0  # seconds per exact solve
 DUAL_GRID = 2**20  # LP duals are rounded down to multiples of 1/DUAL_GRID
 
 
+_UNRUN = object()  # a model whose market LP has not run yet
+
+
 class Infeasible(Exception):
     """The model has no feasible point (never one build_model made: serving
     nobody always fits the committed load)."""
@@ -104,7 +110,13 @@ class IpModel:
     lb: np.ndarray
     ub: np.ndarray
     is_binary: np.ndarray
-    _session: Optional["_Session"] = field(default=None, init=False, repr=False, compare=False)
+    # what solve_exact keeps of the market's LP relaxation, run once per
+    # model: its _bound_terms at the model's own bounds (None when it is not
+    # optimal or _bound_terms refuses), whether its binaries were integral,
+    # and the basis the last LP run ended on, from which the next one starts
+    _market: object = field(default=_UNRUN, init=False, repr=False, compare=False)
+    _integral: bool = field(default=False, init=False, repr=False, compare=False)
+    _basis: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_vars(self) -> int:
@@ -292,81 +304,34 @@ def _allocation_from_x(model: IpModel, x: np.ndarray) -> Allocation:
     return Allocation(assigned=assigned, schedule=schedule, objective=obj)
 
 
-_UNRUN = object()  # a session whose market LP has not run yet
-
-
-class _Session:
-    """The one HiGHS instance (scipy's private bindings) that runs every exact
-    solve on a model but the market LP, passed once with its binaries
-    integral and a zero MIP gap.
-    Changing column bounds keeps HiGHS's basis, so an LP run warm-starts from the last."""
-
-    def __init__(self, model: IpModel):
-        lp = _core.HighsLp()
-        lp.num_row_, lp.num_col_ = len(model.b), model.n_vars  # passModel copies them into a_matrix_
-        lp.a_matrix_.format_ = _core.MatrixFormat.kColwise
-        lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = model.colwise
-        lp.col_cost_, lp.col_lower_, lp.col_upper_ = -model.c, model.lb, model.ub
-        lp.row_lower_, lp.row_upper_ = np.full(len(model.b), -np.inf), model.b
-        lp.integrality_ = np.where(model.is_binary, _core.HighsVarType.kInteger, _core.HighsVarType.kContinuous)
-        self.highs = _core._Highs()
-        self._set_option("output_flag", False)
-        self._set_option("mip_rel_gap", 0.0)
-        self.highs.passModel(lp)  # a model that fails to load fails every run()
-        self._market: object = _UNRUN
-        self.integral = False  # the market LP was optimal with integral binaries
-
-    def market_terms(self, model: IpModel, time_limit: float) -> Optional[tuple[np.ndarray, np.ndarray]]:
-        """_bound_terms of the LP relaxation at model's own bounds.  The LP
-        runs on the first call alone, under time_limit, on a scratch session
-        freed on return: HiGHS keeps an LP's state through clearSolver, and
-        branch-and-cut on this session would carry it.  Its terms, or None
-        when the LP is not optimal or _bound_terms refuses, serve every later
-        call; integral records whether its binaries are integral, and its
-        basis is handed to this session, so the next LP here starts warm."""
-        if self._market is _UNRUN:
-            scratch = _Session(model)
-            status, x, y, _ = scratch.run(time_limit, relaxation=True)
-            optimal = status == _core.HighsModelStatus.kOptimal
-            self._market = _bound_terms(model, y, model.lb, model.ub) if optimal else None
-            self.integral = optimal and _integral_binaries(model, x)
-            basis = scratch.highs.getBasis()
-            if basis.valid:
-                self.highs.setBasis(basis)
-            del scratch
-            if _malloc_trim is not None:
-                # glibc keeps the freed LP's pages mapped, and branch-and-cut's
-                # own would stack on them: +12 MB peak on a 300 x 16 market
-                _malloc_trim(0)
-        return self._market
-
-    def _set_option(self, name: str, value) -> None:
-        """HiGHS keeps its old value of an option it refuses, so a refusal raises."""
-        if self.highs.setOptionValue(name, value) != _core.HighsStatus.kOk:
-            raise RuntimeError(f"HiGHS refused option {name}={value!r}")
-
-    def set_bounds(self, cols: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> None:
-        self.highs.changeColsBounds(len(cols), cols, lb, ub)
-
-    def run(self, time_limit: float, relaxation: bool) -> tuple:
-        """(model status, x, row multipliers y >= 0, info) of the LP relaxation or of
-        branch-and-cut, which starts from a cleared solver: it takes a fresh
-        HiGHS's path and so lands on the same optimum among ties.  The LP basis
-        held before branch-and-cut is put back after it, so the next LP run
-        still warm-starts from the last LP."""
-        self._set_option("time_limit", float(time_limit))
-        self._set_option("solve_relaxation", relaxation)
-        basis = None
-        if not relaxation:
-            basis = self.highs.getBasis()  # a copy, which clearSolver leaves alone
-            self.highs.clearSolver()
-        self.highs.run()
-        solution = self.highs.getSolution()
-        result = (self.highs.getModelStatus(), np.array(solution.col_value),
-                  -np.array(solution.row_dual), self.highs.getInfo())
-        if basis is not None and basis.valid:
-            self.highs.setBasis(basis)
-        return result
+def _run(model: IpModel, lb: np.ndarray, ub: np.ndarray, time_limit: float, mip: bool,
+         basis=None, jump: bool = True) -> tuple:
+    """(model status, x, row multipliers y >= 0, info, basis) of one run on a
+    HiGHS of its own (scipy's private bindings), freed on return: the LP
+    relaxation within lb, ub, started from basis when one is given, or
+    branch-and-cut with a zero MIP gap and feasibility jump on or off.  The
+    basis returned is the LP's last one (None when HiGHS holds no valid
+    one, and after branch-and-cut).  HiGHS keeps its old value of an
+    option it refuses, so a refusal raises."""
+    highs = _core._Highs()
+    options = {"output_flag": False, "time_limit": float(time_limit)}
+    if mip:
+        options.update(mip_rel_gap=0.0, mip_heuristic_run_feasibility_jump=jump)
+    for name, setting in options.items():
+        if highs.setOptionValue(name, setting) != _core.HighsStatus.kOk:
+            raise RuntimeError(f"HiGHS refused option {name}={setting!r}")
+    start, row, value = model.colwise
+    # HiGHS copies the arrays; integrality is 1 (kInteger) on the binaries
+    # of a branch-and-cut run and 0 (kContinuous) elsewhere
+    highs.passModel(model.n_vars, len(model.b), len(value), int(_core.MatrixFormat.kColwise),
+                    int(_core.ObjSense.kMinimize), 0.0, -model.c, lb, ub, np.full(len(model.b), -np.inf),
+                    model.b, start, row, value, (model.is_binary & mip).astype(np.int32))
+    if basis is not None:
+        highs.setBasis(basis)
+    highs.run()
+    solution, last = highs.getSolution(), highs.getBasis()
+    return (highs.getModelStatus(), np.array(solution.col_value), -np.array(solution.row_dual),
+            highs.getInfo(), last if last.valid and not mip else None)
 
 
 def _column_sums(start: np.ndarray, entries: np.ndarray) -> np.ndarray:
@@ -474,14 +439,14 @@ def solve_exact(model: IpModel, time_limit: float = DEFAULT_TIME_LIMIT,
     without names an agent whose columns are fixed to 0 for this solve: a
     VCG counterfactual solves the market without its winner on this model,
     with the priced allocation less the winner as incumbent.  Every solve
-    takes the same steps on the model's HiGHS session, and _certify makes
-    every proof short of branch-and-cut:
+    takes the same steps, each run on a HiGHS of its own (_run), and
+    _certify makes every proof short of branch-and-cut:
     1. "market-bound": the incumbent against the terms of the market's LP
-       relaxation, run once per session (_Session.market_terms).
-    2. With an incumbent, the LP relaxation within the solve's bounds runs;
-       the terms of its multipliers at the model's own bounds prove the
-       incumbent ("lp-bound"), or else its point when the binaries are
-       integral ("lp-integral").
+       relaxation, run in the model's first solve, which keeps its terms.
+    2. With an incumbent, the LP relaxation within the solve's bounds runs,
+       warm from the last LP's basis; the terms of its multipliers at the
+       model's own bounds prove the incumbent ("lp-bound"), or else its
+       point when the binaries are integral ("lp-integral").
     3. "milp": branch-and-cut with a zero MIP gap, feasibility jump off for
        the whole market after an integral market LP and on for any other
        search.  Its solution is re-evaluated exactly and, proven or not,
@@ -497,32 +462,34 @@ def solve_exact(model: IpModel, time_limit: float = DEFAULT_TIME_LIMIT,
     def left() -> float:
         return max(0.0, time_limit - (time.monotonic() - start))
 
-    cols = np.array(model.columns[without] if without is not None else [], dtype=np.int32)
     lb, ub = model.lb.copy(), model.ub.copy()
-    lb[cols] = ub[cols] = 0.0
+    if without is not None:
+        lb[model.columns[without]] = ub[model.columns[without]] = 0.0
     if model.n_vars == 0:
         return SolveResult(_allocation_from_x(model, lb), STATUS_OPTIMAL)
-    session = model._session = model._session or _Session(model)
-    market = session.market_terms(model, time_limit)
-    if incumbent is not None and (proven := _certify(model, market, without, incumbent, lb, ub)) is not None:
-        return SolveResult(proven, STATUS_OPTIMAL, proof="market-bound")
-    session.set_bounds(cols, lb[cols], ub[cols])
-    try:
-        if incumbent is not None:
-            status, x, y, _ = session.run(left(), relaxation=True)
-            own = _bound_terms(model, y, model.lb, model.ub) if status == _core.HighsModelStatus.kOptimal else None
-            if (proven := _certify(model, own, without, incumbent, lb, ub)) is not None:
-                return SolveResult(proven, STATUS_OPTIMAL, proof="lp-bound")
-            if own is not None and _integral_binaries(model, x):
-                point = _allocation_from_x(model, np.round(x))
-                if (proven := _certify(model, own, without, point, lb, ub)) is not None:
-                    return SolveResult(proven, STATUS_OPTIMAL, proof="lp-integral")
-        # after an integral market LP the root proves the market alone, and
-        # feasibility jump only delays it; every other search keeps it
-        session._set_option("mip_heuristic_run_feasibility_jump", not (without is None and session.integral))
-        status, x, _, info = session.run(left(), relaxation=False)
-    finally:
-        session.set_bounds(cols, model.lb[cols], model.ub[cols])
+    if model._market is _UNRUN:
+        status, x, y, _, model._basis = _run(model, model.lb, model.ub, time_limit, mip=False)
+        optimal = status == _core.HighsModelStatus.kOptimal
+        model._market = _bound_terms(model, y, model.lb, model.ub) if optimal else None
+        model._integral = optimal and _integral_binaries(model, x)
+        if _malloc_trim is not None:
+            # glibc keeps the freed LP's pages mapped, and branch-and-cut's
+            # own would stack on them: +12 MB peak on a 300 x 16 market
+            _malloc_trim(0)
+    if incumbent is not None:
+        if (proven := _certify(model, model._market, without, incumbent, lb, ub)) is not None:
+            return SolveResult(proven, STATUS_OPTIMAL, proof="market-bound")
+        status, x, y, _, model._basis = _run(model, lb, ub, left(), mip=False, basis=model._basis)
+        own = _bound_terms(model, y, model.lb, model.ub) if status == _core.HighsModelStatus.kOptimal else None
+        if (proven := _certify(model, own, without, incumbent, lb, ub)) is not None:
+            return SolveResult(proven, STATUS_OPTIMAL, proof="lp-bound")
+        if own is not None and _integral_binaries(model, x):
+            point = _allocation_from_x(model, np.round(x))
+            if (proven := _certify(model, own, without, point, lb, ub)) is not None:
+                return SolveResult(proven, STATUS_OPTIMAL, proof="lp-integral")
+    # after an integral market LP the root proves the market alone, and
+    # feasibility jump only delays it; every other search keeps it
+    status, x, _, info, _ = _run(model, lb, ub, left(), mip=True, jump=not (without is None and model._integral))
     if status == _core.HighsModelStatus.kInfeasible:
         raise Infeasible("model infeasible")
     if status == _core.HighsModelStatus.kTimeLimit:

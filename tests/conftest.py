@@ -1,6 +1,7 @@
 import dataclasses
 import random
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 import evmarket.cli
 import evmarket.experiments
 from evmarket import EvType, Instance, Station, TimeGrid, build_model, build_requests
-from evmarket.allocator import STATUS_OPTIMAL, STATUS_TIME_LIMITED, SolveResult, _allocation_from_x
+from evmarket.allocator import STATUS_OPTIMAL, STATUS_TIME_LIMITED, SolveResult, _allocation_from_x, _core
 
 from bruteforce import solve_bruteforce
 
@@ -146,6 +147,28 @@ def built_models(monkeypatch):
     return refs
 
 
+@pytest.fixture
+def highs_log(monkeypatch):
+    """Every HiGHS that evmarket.allocator makes: refs holds a weak reference
+    to each, and runs, for each run, "milp" when the HiGHS holds an
+    integer column (else "lp") and the feasibility-jump option it ran with."""
+    log = SimpleNamespace(refs=[], runs=[])
+
+    class Watched(_core._Highs):
+        def run(self):
+            kind = "milp" if _core.HighsVarType.kInteger in self.getLp().integrality_ else "lp"
+            log.runs.append((kind, self.getOptionValue("mip_heuristic_run_feasibility_jump")[1]))
+            return super().run()
+
+    def factory():
+        highs = Watched()
+        log.refs.append(weakref.ref(highs))
+        return highs
+
+    monkeypatch.setattr(_core, "_Highs", factory)
+    return log
+
+
 def drop_agent(instance, agent_id):
     """The market without agent_id's request (instance itself for None)."""
     if agent_id is None:
@@ -172,7 +195,7 @@ def unproven_full_market_solver(n_agents):
 
 def milp_allocation(model):
     """scipy's milp, a HiGHS instance of its own, on the model's arrays with
-    a zero gap: the reference that the model's session must reproduce."""
+    a zero gap: the reference that solve_exact's branch-and-cut must reproduce."""
     res = milp(-model.c, constraints=LinearConstraint(model.A, -np.inf, model.b),
                integrality=model.is_binary.astype(int), bounds=Bounds(model.lb, model.ub),
                options={"mip_rel_gap": 0.0})

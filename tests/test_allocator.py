@@ -18,8 +18,7 @@ from evmarket import (
     validate_allocation,
 )
 from evmarket.allocator import (
-    DUAL_GRID, Infeasible, IpModel, _bound_terms, _bound_without, _core, _Session,
-    evaluate_objective,
+    DUAL_GRID, Infeasible, IpModel, _bound_terms, _bound_without, _core, _run, evaluate_objective,
 )
 from evmarket.experiments import DESK, DESK_CONTESTED
 from evmarket.scenario import GenParams
@@ -100,14 +99,12 @@ def test_engines_agree(seed):
 
 
 def test_objective_drift_raises(tiny1, monkeypatch):
-    real_run = _Session.run
-
-    def off_by_one_cent(self, time_limit, relaxation):
-        status, x, y, info = real_run(self, time_limit, relaxation)
+    def off_by_one_cent(*args, **kwargs):
+        status, x, y, info, basis = _run(*args, **kwargs)
         info.objective_function_value += 1.0
-        return status, x, y, info
+        return status, x, y, info, basis
 
-    monkeypatch.setattr(_Session, "run", off_by_one_cent)
+    monkeypatch.setattr(evmarket.allocator, "_run", off_by_one_cent)
     with pytest.raises(RuntimeError, match="drifted"):
         solve_exact(build_model(tiny1))
 
@@ -117,16 +114,15 @@ def test_branch_and_cut_point_that_breaks_a_rule_raises(tiny2, monkeypatch, stat
     # a rounded point that books both EVs onto tiny2's one charger, reported
     # at its own exact welfare so that only validate_allocation can catch it
     model = build_model(tiny2)
-    real_run = _Session.run
 
-    def double_booked(self, time_limit, relaxation):
-        _, _, y, info = real_run(self, time_limit, relaxation)
+    def double_booked(*args, **kwargs):
+        _, _, y, info, basis = _run(*args, **kwargs)
         x = np.zeros(model.n_vars)
         x[list(model.phi_index.values()) + list(model.charge_index.values())] = 1.0
         info.objective_function_value = -900.0  # valuations 500 + 400, electricity free
-        return getattr(_core.HighsModelStatus, status), x, y, info
+        return getattr(_core.HighsModelStatus, status), x, y, info, basis
 
-    monkeypatch.setattr(_Session, "run", double_booked)
+    monkeypatch.setattr(evmarket.allocator, "_run", double_booked)
     with pytest.raises(RuntimeError, match=r"station-capacity: 2 EVs at \(L1,0\) with 1 chargers"):
         solve_exact(model)
 
@@ -638,30 +634,37 @@ def test_proof_names_the_rung():
     assert Counter(proof for proof, _ in rungs) == {"market-bound": 3, "lp-bound": 1, "lp-integral": 7, "milp": 5}
 
 
-def test_feasibility_jump_runs_where_the_market_lp_is_fractional(monkeypatch):
+def test_feasibility_jump_runs_where_the_market_lp_is_fractional(monkeypatch, highs_log):
     # the main branch-and-cut runs without feasibility jump after an integral
     # market LP (desk-30 seed 1000) and with it after a fractional one
     # (desk-60 seed 2); a counterfactual that falls back to branch-and-cut
-    # keeps it, even on the integral market
-    jumps = []
-    real_run = _Session.run
+    # keeps it, even on the integral market.  Each option is read from the
+    # HiGHS that ran branch-and-cut.
+    def jumps():
+        return [jump for kind, jump in highs_log.runs if kind == "milp"]
 
-    def recording(self, time_limit, relaxation):
-        if not relaxation:
-            jumps.append(self.highs.getOptionValue("mip_heuristic_run_feasibility_jump")[1])
-        return real_run(self, time_limit, relaxation)
-
-    monkeypatch.setattr(_Session, "run", recording)
     integral = build_model(generate(DESK, 1000))
     main = solve_exact(integral)
-    assert integral._session.integral and jumps == [False]
+    assert integral._integral and jumps() == [False]
     fractional = build_model(generate(dataclasses.replace(DESK, n_evs=60), 2))
     solve_exact(fractional)
-    assert not fractional._session.integral and jumps == [False, True]
+    assert not fractional._integral and jumps() == [False, True]
     monkeypatch.setattr(evmarket.allocator, "_certify", lambda *args: None)
     winner = min(aid for aid, sid in main.allocation.assigned.items() if sid)
     price("vcg", integral, main, 0.0, agent_ids=[winner])
-    assert jumps == [False, True, True]
+    assert jumps() == [False, True, True]
+
+
+@pytest.mark.parametrize("params, seed", [(DESK, 1000), (DESK_CONTESTED, 0)], ids=["desk30-1000", "contested-0"])
+def test_no_highs_outlives_a_call(params, seed, highs_log):
+    # each run has a HiGHS of its own: once solve_exact or pricing returns,
+    # the model holds data alone, and no HiGHS is left alive
+    model = build_model(generate(params, seed))
+    main = solve_exact(model)
+    made = len(highs_log.refs)
+    assert made and all(ref() is None for ref in highs_log.refs)
+    price("vcg", model, main, 0.0)
+    assert len(highs_log.refs) > made and all(ref() is None for ref in highs_log.refs)
 
 
 def _unservable_market():
@@ -767,7 +770,7 @@ def test_market_bound_refuses_an_incumbent_that_breaks_a_rule(tiny2):
     assert evaluate_objective(tiny2, broken.assigned, broken.schedule) == 400
     assert [v.code for v in validate_allocation(tiny2, broken)] == ["min-charge"]
     result = solve_exact(model, incumbent=broken, without="a1")
-    assert _bound_without(model, model._session.market_terms(model, 7.0), "a1") == 400
+    assert _bound_without(model, model._market, "a1") == 400
     assert result.proof != "market-bound" and result.allocation.objective == 400
     assert validate_allocation(tiny2, result.allocation) == []
 
@@ -779,58 +782,55 @@ def test_integral_lp_point_below_bound_goes_to_milp(monkeypatch):
     best = solve_exact(model).allocation
     assigned = {**best.assigned, "d": None}
     schedule = frozenset(tr for tr in best.schedule if tr[0] != "d")
-    real_run = _Session.run
 
-    def short_point(self, time_limit, relaxation):
-        status, x, y, info = real_run(self, time_limit, relaxation)
-        if relaxation:
+    def short_point(*args, mip, **kwargs):
+        status, x, y, info, basis = _run(*args, mip=mip, **kwargs)
+        if not mip:
             x = np.zeros(model.n_vars)
             x[[i for (aid, sid), i in model.phi_index.items() if assigned[aid] == sid]] = 1.0
             x[[i for triple, i in model.charge_index.items() if triple in schedule]] = 1.0
-        return status, x, y, info
+        return status, x, y, info, basis
 
-    monkeypatch.setattr(_Session, "run", short_point)
+    monkeypatch.setattr(evmarket.allocator, "_run", short_point)
     result = solve_exact(model, incumbent=Allocation(assigned, schedule, best.objective - 1))
     assert (result.proof, result.allocation.objective) == ("milp", best.objective)
 
 
 def test_lp_relaxation_warm_runs_match_cold_linprog():
-    # the session's LP runs against a cold linprog on the same bounded
-    # arrays: the full market, then branch-and-cut and the LP with one
-    # winner's columns zeroed, then the full market again
+    # LP runs, each warm from the basis the last LP run left, against a cold
+    # linprog on the same bounded arrays: the full market, then
+    # branch-and-cut and the LP with one winner's columns zeroed, then the
+    # full market again
     inst = generate(DESK, 1000)
     model = build_model(inst)
     main = solve_exact(model).allocation
     winner = next(aid for aid, sid in main.assigned.items() if sid)
-    cols = np.array(model.columns[winner], dtype=np.int32)
+    cols = model.columns[winner]
     lb, ub = model.lb.copy(), model.ub.copy()
     lb[cols] = ub[cols] = 0.0
-    session = _Session(model)
-    first = model.c @ session.run(7.0, relaxation=True)[1]
+    _, x, _, _, basis = _run(model, model.lb, model.ub, 7.0, mip=False)
+    first = model.c @ x
     assert first == pytest.approx(-_cold_lp(model, model.lb, model.ub).fun, abs=1e-6)
-    session.set_bounds(cols, lb[cols], ub[cols])
-    status, x, _, info = session.run(7.0, relaxation=False)
-    assert status == evmarket.allocator._core.HighsModelStatus.kOptimal and np.all(x[cols] == 0.0)
+    status, x, _, info, _ = _run(model, lb, ub, 7.0, mip=True)
+    assert status == _core.HighsModelStatus.kOptimal and np.all(x[cols] == 0.0)
     assert -info.objective_function_value < main.objective
-    status, x, y, _ = session.run(7.0, relaxation=True)
+    status, x, y, _, basis = _run(model, lb, ub, 7.0, mip=False, basis=basis)
     assert np.all(x[cols] == 0.0) and np.all(y >= 0.0)
     assert model.c @ x == pytest.approx(-_cold_lp(model, lb, ub).fun, abs=1e-6)
     assert model.c @ x < first - 1
-    session.set_bounds(cols, model.lb[cols], model.ub[cols])
-    assert model.c @ session.run(7.0, relaxation=True)[1] == pytest.approx(first, abs=1e-6)
+    assert model.c @ _run(model, model.lb, model.ub, 7.0, mip=False, basis=basis)[1] == pytest.approx(first, abs=1e-6)
 
 
 def test_branch_and_cut_keeps_the_lp_basis():
-    # branch-and-cut starts from a cleared solver, but the LP after it
-    # starts from the basis the LP before it left: with unchanged bounds
-    # it is optimal at once
+    # branch-and-cut runs on a HiGHS of its own, and the LP after it starts
+    # from the basis the LP before it left: with unchanged bounds it is
+    # optimal at once
     model = build_model(generate(DESK_CONTESTED, 0))
-    session = _Session(model)
-    first = session.run(7.0, relaxation=True)
-    assert first[3].simplex_iteration_count > 0
-    assert session.run(7.0, relaxation=False)[0] == evmarket.allocator._core.HighsModelStatus.kOptimal
-    status, x, _, info = session.run(7.0, relaxation=True)
-    assert status == evmarket.allocator._core.HighsModelStatus.kOptimal
+    first = _run(model, model.lb, model.ub, 7.0, mip=False)
+    assert first[3].simplex_iteration_count > 0 and first[4] is not None
+    assert _run(model, model.lb, model.ub, 7.0, mip=True)[0] == _core.HighsModelStatus.kOptimal
+    status, x, _, info, _ = _run(model, model.lb, model.ub, 7.0, mip=False, basis=first[4])
+    assert status == _core.HighsModelStatus.kOptimal
     assert info.simplex_iteration_count == 0
     assert model.c @ x == pytest.approx(model.c @ first[1], abs=1e-6)
 
@@ -862,17 +862,17 @@ def test_time_limited_solve_keeps_the_committed_load():
     assert validate_allocation(inst, result.allocation) == []
 
 
-def test_time_limit_no_run_can_honour_raises(tiny1):
-    # HiGHS refuses a negative time_limit and keeps its old value (here what
-    # the market LP left of 7 s to branch-and-cut), and it takes NaN; either
-    # would let a run go on without the limit asked for
+def test_time_limit_no_run_can_honour_raises(tiny1, highs_log):
+    # HiGHS refuses a negative time_limit and keeps its old value (its
+    # default: no limit), and it takes NaN; either would let a run go on
+    # without the limit asked for
     model = build_model(tiny1)
     for bad in (-1.0, float("nan")):
         with pytest.raises(ValueError, match="time_limit"):
             solve_exact(model, time_limit=bad)
+    assert highs_log.runs == []
     assert solve_exact(model, time_limit=7.0).status == "optimal"
-    left = model._session.highs.getOptionValue("time_limit")[1]
-    assert 0.0 < left <= 7.0
+    runs = list(highs_log.runs)
     with pytest.raises(RuntimeError, match="time_limit=-1.0"):
-        model._session.run(-1.0, relaxation=True)
-    assert model._session.highs.getOptionValue("time_limit")[1] == left
+        _run(model, model.lb, model.ub, -1.0, mip=False)
+    assert highs_log.runs == runs

@@ -133,18 +133,18 @@ def test_online_command(tmp_path, tiny1_file):
 def test_time_limit_reaches_every_solve(tmp_path, tiny1_file, monkeypatch):
     limits, runs = [], []
     real_solve_exact = evmarket.cli.solve_exact
-    real_run = evmarket.allocator._Session.run
+    real_run = evmarket.allocator._run
 
     def recording_solve_exact(model, time_limit, incumbent=None, without=None):
         limits.append(time_limit)
         return real_solve_exact(model, time_limit, incumbent, without)
 
-    def recording_run(self, time_limit, relaxation):
-        runs.append(("lp" if relaxation else "milp", time_limit))
-        return real_run(self, time_limit, relaxation)
+    def recording_run(model, lb, ub, time_limit, mip, basis=None, jump=True):
+        runs.append(("milp" if mip else "lp", time_limit))
+        return real_run(model, lb, ub, time_limit, mip, basis, jump)
 
     monkeypatch.setattr(evmarket.cli, "solve_exact", recording_solve_exact)
-    monkeypatch.setattr(evmarket.allocator._Session, "run", recording_run)
+    monkeypatch.setattr(evmarket.allocator, "_run", recording_run)
     assert main(["solve", tiny1_file, "--mechanism", "vcg", "--time-limit", "7",
                  "--out", str(tmp_path / "solve")]) == 0
     assert len(limits) == 3  # the allocation plus one counterfactual per winner

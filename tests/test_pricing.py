@@ -5,10 +5,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import evmarket.allocator
 from evmarket import (
     build_model, calibrate_incr, generate, price, price_coop, price_vcg, solve_exact,
 )
-from evmarket.allocator import STATUS_OPTIMAL, STATUS_TIME_LIMITED, SolveResult, _Session
+from evmarket.allocator import STATUS_OPTIMAL, STATUS_TIME_LIMITED, SolveResult, _run
 from evmarket.experiments import DESK, DESK_CONTESTED
 from evmarket.pricing import CounterfactualNotOptimal, NoBreakeven, _coop_price, markup_grid
 
@@ -253,14 +254,14 @@ def test_price_vcg_frees_its_model(tiny2, built_models):
 
 def _rebuild_and_milp(model, time_limit=None, incumbent=None, without=None):
     """Every counterfactual on its own model of the market without the
-    agent, through scipy's milp alone: the reference for the session's rungs."""
+    agent, through scipy's milp alone: the reference for solve_exact's rungs."""
     return SolveResult(milp_allocation(build_model(drop_agent(model.instance, without))), STATUS_OPTIMAL)
 
 
 def _ladder_proofs(instance):
     """The proof of each VCG counterfactual of price_vcg, once its payments
     match those of _rebuild_and_milp, which proves every counterfactual by
-    branch-and-cut alone, and the session holds its model's bounds again."""
+    branch-and-cut alone, and the model's bounds are still those it was built with."""
     alloc = solve_exact(build_model(instance)).allocation
     proofs, models = [], []
 
@@ -272,7 +273,8 @@ def _ladder_proofs(instance):
 
     assert price_vcg(instance, alloc, solver=recording) == price_vcg(instance, alloc, solver=_rebuild_and_milp)
     if models:
-        _assert_bounds_as_built(models[0], models[0].lb, models[0].ub)
+        built = build_model(instance)
+        _assert_bounds_as_built(models[0], built.lb, built.ub)
     return proofs
 
 
@@ -301,13 +303,14 @@ def test_vcg_ladder_matches_milp_random_flat():
 
 def test_market_lp_stopped_by_the_time_limit_certifies_nothing():
     # the market LP runs first in the main solve and within its time limit:
-    # at 0 s it stops, the solve is not proven, and the session never
-    # certifies by the market's bound; the payments stay the same
+    # at 0 s it stops, the solve is not proven, and the model keeps no
+    # terms, so nothing is certified by the market's bound; the payments
+    # stay the same
     inst = generate(DESK, 1000)
     model = build_model(inst)
     stopped = solve_exact(model, time_limit=0.0)
     assert stopped.status == STATUS_TIME_LIMITED
-    assert model._session.market_terms(model, 7.0) is None
+    assert model._market is None
     main = solve_exact(model)
     assert main.status == STATUS_OPTIMAL
     proofs = []
@@ -323,8 +326,6 @@ def test_market_lp_stopped_by_the_time_limit_certifies_nothing():
 
 def _assert_bounds_as_built(model, lb, ub):
     assert np.array_equal(model.lb, lb) and np.array_equal(model.ub, ub)
-    session = model._session.highs.getLp()
-    assert np.array_equal(session.col_lower_, lb) and np.array_equal(session.col_upper_, ub)
 
 
 @pytest.mark.parametrize("params, seed", [(DESK, 1000), (DESK_CONTESTED, 0)],
@@ -347,7 +348,7 @@ def test_counterfactual_order_leaves_no_state(params, seed):
                          ids=["desk30-1001", "contested-0", "contested-3"])
 def test_model_after_pricing_is_the_parent(params, seed):
     # after the counterfactuals' LP and branch-and-cut runs, the main solve
-    # lands on the same optimum among ties as on a fresh session
+    # lands on the same optimum among ties as on a fresh model
     inst = generate(params, seed)
     model = build_model(inst)
     main = solve_exact(model)
@@ -367,15 +368,15 @@ def test_raising_counterfactual_restores_bounds(params, seed, failing, nth, monk
     model = build_model(inst)
     main = solve_exact(model)
     lb, ub = model.lb.copy(), model.ub.copy()
-    real_run, runs = _Session.run, []
+    runs = []
 
-    def fails_nth(self, time_limit, relaxation):
-        runs.append(relaxation)
+    def fails_nth(*args, mip, **kwargs):
+        runs.append(not mip)  # True for an LP run
         if runs.count(failing) == nth:
             raise RuntimeError("HiGHS failed")
-        return real_run(self, time_limit, relaxation)
+        return _run(*args, mip=mip, **kwargs)
 
-    monkeypatch.setattr(_Session, "run", fails_nth)
+    monkeypatch.setattr(evmarket.allocator, "_run", fails_nth)
     with pytest.raises(RuntimeError, match="HiGHS failed"):
         price("vcg", model, main, 0.0)
     assert runs[-1] == failing
